@@ -175,21 +175,16 @@ impl DegradationLadder {
 
     /// Feeds one round's health observation and returns the mode that
     /// governs this round. `governor_reachable` is the control link,
-    /// `telemetry_ok` the counter-harvest path. Demotions move at most
-    /// one rung per round; promotions require a full
+    /// `telemetry_ok` the counter-harvest path, and `thermal_ok` is false
+    /// for a round under emergency throttle (or worse). Demotions move at
+    /// most one rung per round; promotions require a full
     /// [`DegradationConfig::rejoin_threshold`] healthy window each.
-    pub fn observe(&mut self, round: u64, governor_reachable: bool, telemetry_ok: bool) -> GovernorMode {
-        self.observe_health(round, governor_reachable, telemetry_ok, true)
-    }
-
-    /// [`DegradationLadder::observe`] with the thermal dimension: a round
-    /// under emergency throttle (or worse) is `thermal_ok = false`. A
-    /// thermally constrained machine is pinned at its V/f floor and
+    ///
+    /// A thermally constrained machine is pinned at its V/f floor and
     /// cannot follow central allocations, so such rounds never count
     /// toward the rejoin window — but they do not demote either (the
     /// throttle ladder, not governor authority, is handling the machine).
-    /// With `thermal_ok = true` this is exactly `observe`, so thermal-off
-    /// fleets are bit-identical to pre-thermal ones.
+    /// Thermal-off fleets pass `thermal_ok = true` every round.
     pub fn observe_health(
         &mut self,
         round: u64,
@@ -530,11 +525,8 @@ impl HierarchicalGovernor {
     /// any non-negative per-region load proxy (reachable machines,
     /// queued work); `root_down` freezes the shares entirely — the
     /// regions run autonomously on what they last held.
-    pub fn rebalance(&mut self, demand: &[f64], root_down: bool) {
-        self.rebalance_masked(demand, &[], root_down);
-    }
-
-    /// One rebalance step with anti-cascade containment: regions marked
+    ///
+    /// Anti-cascade containment: regions marked
     /// `frozen` (typically: their aggregator is unreachable, so their
     /// demand signal is silence, not absence) keep their current share
     /// untouched, and only the active regions' slice of the budget is
@@ -727,7 +719,7 @@ mod tests {
         rounds
             .iter()
             .enumerate()
-            .map(|(r, &(reach, tel))| ladder.observe(r as u64, reach, tel))
+            .map(|(r, &(reach, tel))| ladder.observe_health(r as u64, reach, tel, true))
             .collect()
     }
 
@@ -774,20 +766,20 @@ mod tests {
         l.force_fallback(0, "crash-restart");
         assert_eq!(l.mode(), GovernorMode::FallbackMax);
         // Two healthy rounds are not enough; flapping resets the window.
-        l.observe(1, true, true);
-        l.observe(2, true, true);
-        l.observe(3, false, true);
+        l.observe_health(1, true, true, true);
+        l.observe_health(2, true, true, true);
+        l.observe_health(3, false, true, true);
         assert_eq!(l.mode(), GovernorMode::FallbackMax);
         // A full window climbs exactly one rung...
         for r in 4..7 {
-            l.observe(r, true, true);
+            l.observe_health(r, true, true, true);
         }
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
         // ...and the next rung needs its own full window.
-        l.observe(7, true, true);
-        l.observe(8, true, true);
+        l.observe_health(7, true, true, true);
+        l.observe_health(8, true, true, true);
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
-        l.observe(9, true, true);
+        l.observe_health(9, true, true, true);
         assert_eq!(l.mode(), GovernorMode::Central);
         assert!(l.monotonicity_issue().is_none());
     }
@@ -932,29 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_health_with_thermal_ok_matches_observe() {
-        let cfg = DegradationConfig::default();
-        let mut a = DegradationLadder::new(cfg);
-        let mut b = DegradationLadder::new(cfg);
-        let pattern = [
-            (true, true),
-            (false, true),
-            (false, false),
-            (true, false),
-            (true, true),
-            (true, true),
-            (true, true),
-            (true, true),
-        ];
-        for (r, &(reach, tel)) in pattern.iter().enumerate() {
-            let ma = a.observe(r as u64, reach, tel);
-            let mb = b.observe_health(r as u64, reach, tel, true);
-            assert_eq!(ma, mb);
-        }
-        assert_eq!(a.transitions().len(), b.transitions().len());
-    }
-
-    #[test]
     fn hierarchy_starts_equal_and_conserves_the_budget() {
         let h = HierarchicalGovernor::new(4);
         assert_eq!(h.regions(), 4);
@@ -969,15 +938,15 @@ mod tests {
     fn hierarchy_rebalance_is_damped_and_freezes_when_root_is_down() {
         let mut h = HierarchicalGovernor::new(2);
         // Root down: shares frozen no matter the demand skew.
-        h.rebalance(&[10.0, 0.0], true);
+        h.rebalance_masked(&[10.0, 0.0], &[], true);
         assert!((h.shares()[0] - 0.5).abs() < 1e-12);
         // Root up: one step moves partway toward demand, not all the way.
-        h.rebalance(&[3.0, 1.0], false);
+        h.rebalance_masked(&[3.0, 1.0], &[], false);
         assert!(h.shares()[0] > 0.5 && h.shares()[0] < 0.75);
         let after_one = h.shares()[0];
         // Repeated steps converge toward the demand split.
         for _ in 0..50 {
-            h.rebalance(&[3.0, 1.0], false);
+            h.rebalance_masked(&[3.0, 1.0], &[], false);
         }
         assert!(h.shares()[0] > after_one);
         assert!((h.shares()[0] - 0.75).abs() < h.deadband + 1e-9);
@@ -988,7 +957,7 @@ mod tests {
     #[test]
     fn hierarchy_deadband_suppresses_small_swings() {
         let mut h = HierarchicalGovernor::new(2);
-        h.rebalance(&[1.01, 0.99], false);
+        h.rebalance_masked(&[1.01, 0.99], &[], false);
         assert!((h.shares()[0] - 0.5).abs() < 1e-12, "inside the deadband nothing moves");
     }
 

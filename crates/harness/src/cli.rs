@@ -1,7 +1,8 @@
-//! Shared command-line plumbing for the experiment binaries.
+//! Shared command-line plumbing for the `depburst` subcommands (see
+//! [`crate::commands`]).
 //!
-//! Every binary accepts, anywhere on the command line (both `--flag V`
-//! and `--flag=V` forms):
+//! Every subcommand except `torture` accepts, anywhere after its name
+//! (both `--flag V` and `--flag=V` forms):
 //!
 //! * `--jobs N` — pool width (env `DEPBURST_JOBS`; default: available
 //!   parallelism). `--jobs 1` reproduces the historical sequential
@@ -28,25 +29,27 @@
 //!
 //! An unknown `--flag` is a usage error: the diagnostic names the
 //! offending flag, suggests the nearest valid one when the typo is small,
-//! and lists every flag the binary accepts (binary-specific flags such as
-//! the faults sweep's `--panic-point` included).
+//! and lists every flag the command accepts (command-specific flags such
+//! as the faults sweep's `--panic-point` included).
 //!
-//! Exit codes are standardized across all binaries: **0** success, **1**
+//! Exit codes are standardized across all subcommands: **0** success, **1**
 //! usage or internal error, **2** the sweep ran but some points
 //! ultimately failed (a failure report was written to
 //! `results/<exp>_failures.json` and summarized on stderr). No panics.
 
 use std::process::ExitCode;
 
+use depburst_core::DepburstError;
+
 use crate::checkpoint::Journal;
 use crate::run::ExecCtx;
 
-/// The boxed error a binary's command body returns: `depburst_core`
+/// The boxed error a command body returns: `depburst_core`
 /// errors and I/O or serialization errors both flow through it.
 pub type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// The options shared by every experiment binary, split from its
-/// positional arguments.
+/// The options shared by every command, split from its positional
+/// arguments.
 #[derive(Debug, Default)]
 pub struct CommonOpts {
     /// `--jobs N`.
@@ -69,12 +72,12 @@ pub struct CommonOpts {
     /// `--storage-faults SPEC`: `Some(None)` = explicit `off`,
     /// `Some(Some(cfg))` = an injector, `None` = not given (use the env).
     pub storage_faults: Option<Option<crate::vfs::StorageFaultConfig>>,
-    /// Remaining positional arguments (and pass-through binary-specific
+    /// Remaining positional arguments (and pass-through command-specific
     /// flags), in order.
     pub rest: Vec<String>,
 }
 
-/// The flags every binary understands, for the unknown-flag diagnostic.
+/// The flags every command understands, for the unknown-flag diagnostic.
 const COMMON_FLAGS: [&str; 8] = [
     "--jobs",
     "--point-timeout",
@@ -86,46 +89,86 @@ const COMMON_FLAGS: [&str; 8] = [
     "--storage-faults",
 ];
 
-/// Extracts `--jobs N` / `--jobs=N` from `args`, returning the requested
-/// worker count and the remaining arguments in order. Kept for callers
-/// that only care about jobs; the binaries use [`parse_common`], which
-/// also strips the resilience flags.
-pub fn split_jobs(args: &[String]) -> Result<(Option<usize>, Vec<String>), String> {
-    let mut jobs = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let v = it.next().ok_or("--jobs requires a value")?;
-            jobs = Some(parse_jobs(v)?);
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs(v)?);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((jobs, rest))
-}
-
-/// Extracts one `--name V` / `--name=V` flag from `args`, returning its
-/// value (last occurrence wins) and the remaining arguments in order.
-/// Binaries use this for experiment-specific flags (e.g. the faults
-/// sweep's `--panic-point`).
-pub fn split_flag(args: &[String], name: &str) -> Result<(Option<String>, Vec<String>), String> {
+/// Removes one `--name V` / `--name=V` flag from `args` and returns its
+/// value (last occurrence wins), leaving the other arguments in order.
+/// Commands use this for their own flags (e.g. the faults sweep's
+/// `--panic-point`).
+pub fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
     let inline = format!("{name}=");
     let mut value = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
+    let mut rest = Vec::with_capacity(args.len());
+    let mut it = std::mem::take(args).into_iter();
     while let Some(a) = it.next() {
         if a == name {
-            value = Some(it.next().ok_or_else(|| format!("{name} requires a value"))?.clone());
+            value = Some(it.next().ok_or_else(|| format!("{name} requires a value"))?);
         } else if let Some(v) = a.strip_prefix(&inline) {
             value = Some(v.to_owned());
         } else {
-            rest.push(a.clone());
+            rest.push(a);
         }
     }
-    Ok((value, rest))
+    *args = rest;
+    Ok(value)
+}
+
+/// [`take_flag`] for a value of type `T`; `None` when the flag was not
+/// given.
+pub fn take_value<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    take_flag(args, name)?
+        .map(|v| v.parse().map_err(|_| format!("invalid {name} value {v:?}")))
+        .transpose()
+}
+
+/// [`take_flag`] for a value that must be an intensity (or probability)
+/// in `[0, 1]`; `None` when the flag was not given.
+pub fn take_intensity(args: &mut Vec<String>, name: &str) -> Result<Option<f64>, String> {
+    take_flag(args, name)?
+        .map(|v| {
+            v.parse::<f64>()
+                .ok()
+                .filter(|i| (0.0..=1.0).contains(i))
+                .ok_or_else(|| format!("invalid {name} value {v:?} (want [0, 1])"))
+        })
+        .transpose()
+}
+
+/// [`take_flag`] for a value that must be a positive count; `None` when
+/// the flag was not given.
+pub fn take_count(args: &mut Vec<String>, name: &str) -> Result<Option<usize>, String> {
+    take_flag(args, name)?
+        .map(|v| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|n| *n >= 1)
+                .ok_or_else(|| format!("invalid {name} value {v:?} (want >= 1)"))
+        })
+        .transpose()
+}
+
+/// [`take_flag`] for an `on`/`off` switch; a flag that was not given is
+/// off.
+pub fn take_switch(args: &mut Vec<String>, name: &str) -> Result<bool, String> {
+    match take_flag(args, name)?.as_deref() {
+        None | Some("off") => Ok(false),
+        Some("on") => Ok(true),
+        Some(other) => Err(format!("invalid {name} value {other:?} (want on or off)")),
+    }
+}
+
+/// Fails when the sampled tier was requested for a command it does not
+/// apply to; `detail` says why. Silently accepting `--sampling` there
+/// would misreport what the run covered.
+pub fn reject_sampling(ctx: &ExecCtx, detail: &str) -> Result<(), DepburstError> {
+    match ctx.sampling {
+        Some(_) => Err(DepburstError::UnsupportedOption {
+            option: "--sampling".to_owned(),
+            detail: detail.to_owned(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
@@ -186,72 +229,49 @@ fn parse_storage(v: &str) -> Result<Option<crate::vfs::StorageFaultConfig>, Stri
         .map_err(|e| format!("invalid --storage-faults value: {e}"))
 }
 
-/// Splits the shared flags from `args`, leaving the binary's positional
+/// Splits the shared flags from `args`, leaving the command's positional
 /// arguments in [`CommonOpts::rest`]. Equivalent to
-/// [`parse_common_with`] with no binary-specific flags: any unrecognized
+/// [`parse_common_with`] with no command-specific flags: any unrecognized
 /// `--flag` is a usage error.
 pub fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
     parse_common_with(args, &[])
 }
 
-/// [`parse_common`] for binaries with their own flags: every name in
+/// [`parse_common`] for commands with their own flags: every name in
 /// `extra_flags` (e.g. `"--panic-point"`) passes through to
 /// [`CommonOpts::rest`] untouched — in both its `--flag V` and
-/// `--flag=V` forms — for the binary to extract with [`split_flag`]. Any
+/// `--flag=V` forms — for the command to extract with [`take_flag`]. Any
 /// other `--`-prefixed token is rejected with a diagnostic that names
 /// the flag, suggests the nearest valid one, and lists them all.
 pub fn parse_common_with(args: &[String], extra_flags: &[&str]) -> Result<CommonOpts, String> {
     let mut opts = CommonOpts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) if a.starts_with("--") => (flag, Some(v)),
+            _ => (a.as_str(), None),
         };
-        match a.as_str() {
-            "--jobs" => opts.jobs = Some(parse_jobs(&value_of("--jobs")?)?),
-            "--point-timeout" => {
-                opts.point_timeout = Some(parse_timeout(&value_of("--point-timeout")?)?);
+        if !COMMON_FLAGS.contains(&flag) {
+            if flag.starts_with("--") && !extra_flags.contains(&flag) {
+                return Err(unknown_flag_error(flag, extra_flags));
             }
-            "--retries" => opts.retries = Some(parse_retries(&value_of("--retries")?)?),
-            "--run-id" => opts.run_id = Some(value_of("--run-id")?),
-            "--resume" => opts.resume = Some(value_of("--resume")?),
-            "--invariants" => {
-                opts.invariants = Some(parse_invariants(&value_of("--invariants")?)?);
-            }
-            "--sampling" => opts.sampling = Some(parse_sampling(&value_of("--sampling")?)?),
-            "--storage-faults" => {
-                opts.storage_faults = Some(parse_storage(&value_of("--storage-faults")?)?);
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--jobs=") {
-                    opts.jobs = Some(parse_jobs(v)?);
-                } else if let Some(v) = other.strip_prefix("--point-timeout=") {
-                    opts.point_timeout = Some(parse_timeout(v)?);
-                } else if let Some(v) = other.strip_prefix("--retries=") {
-                    opts.retries = Some(parse_retries(v)?);
-                } else if let Some(v) = other.strip_prefix("--run-id=") {
-                    opts.run_id = Some(v.to_owned());
-                } else if let Some(v) = other.strip_prefix("--resume=") {
-                    opts.resume = Some(v.to_owned());
-                } else if let Some(v) = other.strip_prefix("--invariants=") {
-                    opts.invariants = Some(parse_invariants(v)?);
-                } else if let Some(v) = other.strip_prefix("--sampling=") {
-                    opts.sampling = Some(parse_sampling(v)?);
-                } else if let Some(v) = other.strip_prefix("--storage-faults=") {
-                    opts.storage_faults = Some(parse_storage(v)?);
-                } else if other.starts_with("--") {
-                    let bare = other.split('=').next().unwrap_or(other);
-                    if extra_flags.contains(&bare) {
-                        opts.rest.push(other.to_owned());
-                    } else {
-                        return Err(unknown_flag_error(bare, extra_flags));
-                    }
-                } else {
-                    opts.rest.push(other.to_owned());
-                }
-            }
+            opts.rest.push(a.clone());
+            continue;
+        }
+        let v = match inline {
+            Some(v) => v.to_owned(),
+            None => it.next().cloned().ok_or_else(|| format!("{flag} requires a value"))?,
+        };
+        match flag {
+            "--jobs" => opts.jobs = Some(parse_jobs(&v)?),
+            "--point-timeout" => opts.point_timeout = Some(parse_timeout(&v)?),
+            "--retries" => opts.retries = Some(parse_retries(&v)?),
+            "--run-id" => opts.run_id = Some(v),
+            "--resume" => opts.resume = Some(v),
+            "--invariants" => opts.invariants = Some(parse_invariants(&v)?),
+            "--sampling" => opts.sampling = Some(parse_sampling(&v)?),
+            "--storage-faults" => opts.storage_faults = Some(parse_storage(&v)?),
+            _ => unreachable!("COMMON_FLAGS lists exactly the flags matched here"),
         }
     }
     Ok(opts)
@@ -259,7 +279,7 @@ pub fn parse_common_with(args: &[String], extra_flags: &[&str]) -> Result<Common
 
 /// Renders the unknown-flag usage error: the offending flag, a
 /// nearest-valid-flag suggestion when one is within edit distance 2, and
-/// the full list of flags this binary accepts.
+/// the full list of flags this command accepts.
 fn unknown_flag_error(flag: &str, extra_flags: &[&str]) -> String {
     let mut known: Vec<&str> = COMMON_FLAGS.to_vec();
     known.extend_from_slice(extra_flags);
@@ -362,27 +382,20 @@ pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
     Ok(ctx)
 }
 
-/// Parses the shared flags, builds the execution context, runs `body` on
-/// the remaining arguments, then writes/clears the experiment's failure
-/// report and translates the outcome into the standardized exit codes
-/// (0 ok, 1 usage/internal error, 2 point failures).
-pub fn main_with(
-    experiment: &str,
-    body: impl FnOnce(&ExecCtx, &[String]) -> CliResult,
-) -> ExitCode {
-    main_with_flags(experiment, &[], body)
-}
-
-/// [`main_with`] for binaries with their own flags (see
-/// [`parse_common_with`]): `extra_flags` pass through to the body's
-/// arguments and join the unknown-flag diagnostic's valid list.
+/// Parses the shared flags out of `argv` (a command's arguments, after
+/// its name), builds the execution context, runs `body` on the remaining
+/// arguments, then writes/clears the experiment's failure report and
+/// translates the outcome into the standardized exit codes (0 ok, 1
+/// usage/internal error, 2 point failures). `extra_flags` are the
+/// command's own flags (see [`parse_common_with`]): they pass through to
+/// the body's arguments and join the unknown-flag diagnostic's valid list.
 pub fn main_with_flags(
     experiment: &str,
     extra_flags: &[&str],
+    argv: &[String],
     body: impl FnOnce(&ExecCtx, &[String]) -> CliResult,
 ) -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_common_with(&argv, extra_flags) {
+    let opts = match parse_common_with(argv, extra_flags) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("error: {e}");
@@ -491,26 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn split_jobs_extracts_both_forms() {
-        let (jobs, rest) = split_jobs(&strs(&["0.1", "--jobs", "4", "2"])).unwrap();
-        assert_eq!(jobs, Some(4));
-        assert_eq!(rest, strs(&["0.1", "2"]));
-        let (jobs, rest) = split_jobs(&strs(&["--jobs=2"])).unwrap();
-        assert_eq!(jobs, Some(2));
-        assert!(rest.is_empty());
-        let (jobs, rest) = split_jobs(&strs(&["a", "b"])).unwrap();
-        assert_eq!(jobs, None);
-        assert_eq!(rest, strs(&["a", "b"]));
-    }
-
-    #[test]
-    fn split_jobs_rejects_bad_values() {
-        assert!(split_jobs(&strs(&["--jobs"])).is_err());
-        assert!(split_jobs(&strs(&["--jobs", "zero"])).is_err());
-        assert!(split_jobs(&strs(&["--jobs=0"])).is_err());
-    }
-
-    #[test]
     fn parse_common_strips_all_shared_flags() {
         let opts = parse_common(&strs(&[
             "0.1",
@@ -545,15 +538,47 @@ mod tests {
     }
 
     #[test]
-    fn split_flag_extracts_and_preserves_rest() {
-        let (v, rest) =
-            split_flag(&strs(&["a", "--panic-point", "0.5", "b"]), "--panic-point").unwrap();
+    fn parse_common_rejects_bad_jobs() {
+        assert!(parse_common(&strs(&["--jobs"])).is_err());
+        assert!(parse_common(&strs(&["--jobs", "zero"])).is_err());
+        assert!(parse_common(&strs(&["--jobs=0"])).is_err());
+    }
+
+    #[test]
+    fn take_flag_extracts_and_preserves_rest() {
+        let mut args = strs(&["a", "--panic-point", "0.5", "b"]);
+        let v = take_flag(&mut args, "--panic-point").unwrap();
         assert_eq!(v.as_deref(), Some("0.5"));
-        assert_eq!(rest, strs(&["a", "b"]));
-        let (v, rest) = split_flag(&strs(&["--panic-point=1.0"]), "--panic-point").unwrap();
+        assert_eq!(args, strs(&["a", "b"]));
+        let mut args = strs(&["--panic-point=1.0"]);
+        let v = take_flag(&mut args, "--panic-point").unwrap();
         assert_eq!(v.as_deref(), Some("1.0"));
-        assert!(rest.is_empty());
-        assert!(split_flag(&strs(&["--panic-point"]), "--panic-point").is_err());
+        assert!(args.is_empty());
+        assert!(take_flag(&mut strs(&["--panic-point"]), "--panic-point").is_err());
+    }
+
+    #[test]
+    fn shared_value_parsers_check_their_ranges() {
+        let take = |flag: &str, v: &str| vec![flag.to_owned(), v.to_owned()];
+        assert_eq!(take_intensity(&mut strs(&["x"]), "--chaos"), Ok(None));
+        assert_eq!(take_intensity(&mut take("--chaos", "0.5"), "--chaos"), Ok(Some(0.5)));
+        assert_eq!(take_intensity(&mut take("--chaos", "1"), "--chaos"), Ok(Some(1.0)));
+        for bad in ["-0.1", "1.5", "NaN", "lots"] {
+            let err = take_intensity(&mut take("--chaos", bad), "--chaos").expect_err(bad);
+            assert!(err.contains("--chaos"), "got: {err}");
+        }
+        assert_eq!(take_count(&mut strs(&[]), "--shards"), Ok(None));
+        assert_eq!(take_count(&mut take("--shards", "3"), "--shards"), Ok(Some(3)));
+        for bad in ["0", "-1", "two"] {
+            let err = take_count(&mut take("--shards", bad), "--shards").expect_err(bad);
+            assert!(err.contains("--shards"), "got: {err}");
+        }
+        assert_eq!(take_value::<u64>(&mut take("--seed", "7"), "--seed"), Ok(Some(7)));
+        assert!(take_value::<u64>(&mut take("--seed", "x"), "--seed").is_err());
+        assert_eq!(take_switch(&mut strs(&[]), "--thermal"), Ok(false));
+        assert_eq!(take_switch(&mut take("--thermal", "off"), "--thermal"), Ok(false));
+        assert_eq!(take_switch(&mut take("--thermal", "on"), "--thermal"), Ok(true));
+        assert!(take_switch(&mut take("--thermal", "yes"), "--thermal").is_err());
     }
 
     #[test]
@@ -586,7 +611,7 @@ mod tests {
         let opts =
             parse_common_with(&strs(&["--panic-point=1.0"]), &["--panic-point"]).unwrap();
         assert_eq!(opts.rest, strs(&["--panic-point=1.0"]));
-        // A typo of the binary-specific flag is suggested too.
+        // A typo of the command-specific flag is suggested too.
         let err = parse_common_with(&strs(&["--panic-pont=1.0"]), &["--panic-point"])
             .expect_err("typo");
         assert!(err.contains("did you mean --panic-point?"), "got: {err}");

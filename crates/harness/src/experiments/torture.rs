@@ -27,7 +27,7 @@
 //!
 //! Everything is seeded and deterministic (`jobs = 1`, so the fault
 //! schedule is a pure function of the operation sequence). The `torture`
-//! binary renders the report and exits nonzero on any contract breach.
+//! subcommand renders the report and exits nonzero on any contract breach.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -1,7 +1,10 @@
 //! `harness` — experiment runners regenerating every table and figure of
 //! the DEP+BURST paper.
 //!
-//! | Experiment | Module | Binary |
+//! Every experiment is a subcommand of the one `depburst` binary
+//! (`depburst <subcommand> [args...]`, table in [`commands`]):
+//!
+//! | Experiment | Module | Subcommand |
 //! |---|---|---|
 //! | Table I (benchmarks) | [`experiments::table1`] | `table1` |
 //! | Table II (system parameters) | [`experiments::table2`] | `table2` |
@@ -31,6 +34,7 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod cli;
+pub mod commands;
 pub mod experiments;
 pub mod fuzz;
 pub mod pool;

@@ -34,7 +34,7 @@
 //!   drawn fraction of its unsynced tail, and all subsequent operations
 //!   fail. A run killed this way, then resumed against [`RealVfs`],
 //!   must produce byte-identical output or fail closed — the contract
-//!   the `torture` binary sweeps.
+//!   the `torture` subcommand sweeps.
 //!
 //! Determinism: with a fixed seed and a single worker (`--jobs 1`) the
 //! entire fault schedule is a pure function of the operation sequence.

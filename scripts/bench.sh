@@ -36,7 +36,7 @@ cargo build --release -q -p harness || fail "release build failed"
 # --- single-machine simulator throughput -------------------------------
 # One full-scale memory-bound point; best-of-3 wall time rides out
 # scheduler noise. The events/second metric divides the engine's
-# dispatched-event count (printed by dvfs-lab) by the best wall time.
+# dispatched-event count (printed by `depburst run`) by the best wall time.
 SP_BENCH=lusearch
 SP_GHZ=2
 SP_SCALE=1
@@ -44,8 +44,8 @@ sp_best=""
 sp_out=""
 for _ in 1 2 3; do
     t0=$(now)
-    sp_out=$(target/release/dvfs-lab run "$SP_BENCH" "$SP_GHZ" "$SP_SCALE") \
-        || fail "dvfs-lab run $SP_BENCH exited nonzero"
+    sp_out=$(target/release/depburst run "$SP_BENCH" "$SP_GHZ" "$SP_SCALE") \
+        || fail "depburst run $SP_BENCH exited nonzero"
     t1=$(now)
     secs=$(elapsed "$t0" "$t1")
     if [ -z "$sp_best" ] || awk -v a="$secs" -v b="$sp_best" 'BEGIN { exit !(a < b) }'; then
@@ -53,7 +53,7 @@ for _ in 1 2 3; do
     fi
 done
 sp_events=$(echo "$sp_out" | awk '/events/ { print $2 }')
-[ -n "$sp_events" ] || fail "could not parse dispatched-event count from dvfs-lab output"
+[ -n "$sp_events" ] || fail "could not parse dispatched-event count from depburst run output"
 
 # --- full fig3 sweep ---------------------------------------------------
 # Both directions, full scale, one seed: 56 simulated points plus all six
@@ -61,7 +61,7 @@ sp_events=$(echo "$sp_out" | awk '/events/ { print $2 }')
 FIG3_SCALE=1
 FIG3_JOBS=4
 t0=$(now)
-target/release/fig3 both "$FIG3_SCALE" 1 --jobs "$FIG3_JOBS" > /dev/null \
+target/release/depburst fig3 both "$FIG3_SCALE" 1 --jobs "$FIG3_JOBS" > /dev/null \
     || fail "fig3 sweep exited nonzero"
 t1=$(now)
 fig3_secs=$(elapsed "$t0" "$t1")
@@ -73,7 +73,7 @@ fig3_secs=$(elapsed "$t0" "$t1")
 # sampled tier's speed target (≤ 5 s vs the exact sweep above); its
 # accuracy is gated separately by ci.sh over results/sampling_error.json.
 t0=$(now)
-target/release/fig3 both "$FIG3_SCALE" 1 --jobs "$FIG3_JOBS" --sampling on > /dev/null \
+target/release/depburst fig3 both "$FIG3_SCALE" 1 --jobs "$FIG3_JOBS" --sampling on > /dev/null \
     || fail "sampled fig3 sweep exited nonzero"
 t1=$(now)
 sampled_fig3_secs=$(elapsed "$t0" "$t1")
@@ -118,7 +118,7 @@ SCALE=0.02
 JOBS=4
 
 t0=$(now)
-target/release/fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
+target/release/depburst fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
     --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
     --jobs "$JOBS" > /dev/null \
     || fail "fleet benchmark exited nonzero"
@@ -132,7 +132,7 @@ fleet_secs=$(elapsed "$t0" "$t1")
 # schedule. The characterization points are shared with the run above
 # through the memo cache, so the delta is the round loop's thermal cost.
 t0=$(now)
-target/release/fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
+target/release/depburst fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
     --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
     --regions 4 --hierarchy on --thermal on \
     --brownout 0.3 --region-crash 0.2 --sensor-stuck 0.2 \

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Local CI gate: release build, full test suite, clippy with warnings
-# denied, then a tiny-scale smoke run of every experiment binary on the
-# parallel runner (2 pool workers). Run from anywhere; operates on the
+# denied, then a tiny-scale smoke run of the `depburst` experiment
+# subcommands on the parallel runner (2 pool workers). Run from anywhere; operates on the
 # repo root.
 #
 # Every step is wall-clock timed so pool/cache performance regressions
@@ -22,7 +22,7 @@ step() {
 }
 
 # --workspace matters: a bare `cargo build` only covers the root package
-# and would leave the experiment binaries below stale.
+# and would leave the depburst binary below stale.
 step "build (release)" cargo build --release --workspace
 
 step "test" cargo test -q --workspace
@@ -31,29 +31,40 @@ step "golden suite" cargo test -q -p harness --test golden
 
 step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
 
-# Smoke-run every experiment binary at tiny scale: the point is driving
+# Smoke-run the experiment subcommands at tiny scale: the point is driving
 # the CLI + pool + cache plumbing end to end, not the numbers. Stdout is
 # discarded; a nonzero exit fails CI.
 SCALE=0.02
-BIN=target/release
+DEPBURST=target/release/depburst
 smoke() {
     local name="$1"
     shift
     step "smoke $name" eval "$* > /dev/null"
 }
-smoke fig1     "$BIN/fig1 $SCALE 1 --jobs 2"
-smoke fig3     "$BIN/fig3 both $SCALE 1 --jobs 2"
-smoke fig3-sampled "$BIN/fig3 both $SCALE 1 --jobs 2 --sampling on"
-smoke fig4     "$BIN/fig4 $SCALE 1 --jobs 2"
-smoke fig6     "$BIN/fig6 10 $SCALE 1 --jobs 2"
-smoke fig7     "$BIN/fig7 10 $SCALE 1 500 --jobs 2"
-smoke table1   "$BIN/table1 $SCALE --jobs 2"
-smoke table2   "$BIN/table2"
-smoke ablation "$BIN/ablation $SCALE 1 --jobs 2"
-smoke percore  "$BIN/percore $SCALE 1 lusearch --jobs 2"
-smoke faults   "$BIN/faults $SCALE 1 10 --jobs 2"
-smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2"
-smoke dvfs-lab "$BIN/dvfs-lab bench"
+smoke fig1     "$DEPBURST fig1 $SCALE 1 --jobs 2"
+smoke fig3     "$DEPBURST fig3 both $SCALE 1 --jobs 2"
+smoke fig3-sampled "$DEPBURST fig3 both $SCALE 1 --jobs 2 --sampling on"
+smoke fig4     "$DEPBURST fig4 $SCALE 1 --jobs 2"
+smoke fig6     "$DEPBURST fig6 10 $SCALE 1 --jobs 2"
+smoke fig7     "$DEPBURST fig7 10 $SCALE 1 500 --jobs 2"
+smoke table1   "$DEPBURST table1 $SCALE --jobs 2"
+smoke table2   "$DEPBURST table2"
+smoke ablation "$DEPBURST ablation $SCALE 1 --jobs 2"
+smoke percore  "$DEPBURST percore $SCALE 1 lusearch --jobs 2"
+smoke faults   "$DEPBURST faults $SCALE 1 10 --jobs 2"
+smoke fleet    "$DEPBURST fleet 4 40 $SCALE 1 --shards 2 --jobs 2"
+smoke bench    "$DEPBURST bench"
+
+# An unknown subcommand is a usage error: exit 1, never a run.
+unknown_subcommand() {
+    local rc=0
+    "$DEPBURST" nosuch > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "depburst nosuch: want exit 1, got $rc"
+        return 1
+    fi
+}
+step "unknown subcommand exits 1" unknown_subcommand
 
 # Bench smoke + throughput floor: a tiny-scale simulator point, timed,
 # with its events/second compared against the committed BENCH_sim.json
@@ -75,14 +86,14 @@ bench_floor() {
     esac
     local t0 t1 out events secs eps snap_eps
     t0=$(date +%s.%N)
-    out=$("$BIN/dvfs-lab" run lusearch 2 0.2) || {
-        echo "bench smoke: dvfs-lab run exited nonzero"
+    out=$("$DEPBURST" run lusearch 2 0.2) || {
+        echo "bench smoke: depburst run exited nonzero"
         return 1
     }
     t1=$(date +%s.%N)
     events=$(echo "$out" | awk '/events/ { print $2 }')
     if [ -z "$events" ]; then
-        echo "bench smoke: no dispatched-event count in dvfs-lab output"
+        echo "bench smoke: no dispatched-event count in depburst run output"
         return 1
     fi
     secs=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }')
@@ -122,7 +133,7 @@ step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% o
 resilience_panic() {
     rm -f results/faults_failures.json
     local rc=0
-    "$BIN/faults" "$SCALE" 1 10 --jobs 2 --retries 1 --panic-point 1.0 \
+    "$DEPBURST" faults "$SCALE" 1 10 --jobs 2 --retries 1 --panic-point 1.0 \
         > /dev/null 2> /dev/null || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "faults --panic-point 1.0: want exit 2, got $rc"
@@ -140,7 +151,7 @@ step "resilience: panic isolation" resilience_panic
 resilience_watchdog() {
     rm -f results/fig1_failures.json
     local rc=0
-    "$BIN/fig1" "$SCALE" 1 --jobs 2 --retries 0 --point-timeout 0.001 \
+    "$DEPBURST" fig1 "$SCALE" 1 --jobs 2 --retries 0 --point-timeout 0.001 \
         > /dev/null 2> /dev/null || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "fig1 --point-timeout 0.001: want exit 2, got $rc"
@@ -160,7 +171,7 @@ resilience_resume() {
     local journal="results/checkpoints/${id}.jsonl"
     local out=/tmp/depburst-ci
     rm -f "$journal" "$out".*.out
-    "$BIN/fig3" both 0.3 1 --jobs 2 --run-id "$id" \
+    "$DEPBURST" fig3 both 0.3 1 --jobs 2 --run-id "$id" \
         > "$out.interrupted.out" 2> /dev/null &
     local pid=$!
     sleep 3
@@ -170,8 +181,8 @@ resilience_resume() {
         echo "interrupted run left no checkpoint journal at $journal"
         return 1
     fi
-    "$BIN/fig3" both 0.3 1 --jobs 2 --resume "$id" > "$out.resumed.out"
-    "$BIN/fig3" both 0.3 1 --jobs 2 > "$out.reference.out"
+    "$DEPBURST" fig3 both 0.3 1 --jobs 2 --resume "$id" > "$out.resumed.out"
+    "$DEPBURST" fig3 both 0.3 1 --jobs 2 > "$out.reference.out"
     cmp "$out.resumed.out" "$out.reference.out" || {
         echo "resumed run is not byte-identical to an uninterrupted one"
         return 1
@@ -188,9 +199,9 @@ step "resilience: interrupt + resume" resilience_resume
 chaos_gate() {
     local out=/tmp/depburst-ci-fleet
     rm -f "$out".*.out
-    "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
+    "$DEPBURST" fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
         --policy depburst --jobs 1 > "$out.j1.out" 2> /dev/null
-    "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
+    "$DEPBURST" fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
         --policy depburst --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "chaos fleet is not byte-identical across --jobs 1 / --jobs 4"
@@ -214,8 +225,8 @@ step "chaos gate: fleet determinism under faults" chaos_gate
 thermal_gate() {
     local out=/tmp/depburst-ci-thermal
     rm -f "$out".*.out
-    "$BIN/thermal" 12 160 0.02 1 --jobs 1 > "$out.j1.out" 2> /dev/null
-    "$BIN/thermal" 12 160 0.02 1 --jobs 4 > "$out.j4.out" 2> /dev/null
+    "$DEPBURST" thermal 12 160 0.02 1 --jobs 1 > "$out.j1.out" 2> /dev/null
+    "$DEPBURST" thermal 12 160 0.02 1 --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "thermal matrix is not byte-identical across --jobs 1 / --jobs 4"
         return 1
@@ -239,7 +250,7 @@ thermal_gate() {
 }
 step "thermal gate: matrix determinism + power-integrity events" thermal_gate
 
-# Brownout determinism gate: the fleet binary with every new chaos class
+# Brownout determinism gate: the fleet subcommand with every new chaos class
 # armed (brownout, region-aggregator crash, stuck sensors) on a
 # hierarchical thermal fleet must be byte-identical at --jobs 1 and
 # --jobs 4 — the new fault classes draw from their own seeded streams,
@@ -251,9 +262,9 @@ brownout_gate() {
         --chaos 0.3 --chaos-seed 7 --policy depburst"
     rm -f "$out".*.out
     # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 1 > "$out.j1.out" 2> /dev/null
+    "$DEPBURST" fleet 8 60 "$SCALE" 1 $flags --jobs 1 > "$out.j1.out" 2> /dev/null
     # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 4 > "$out.j4.out" 2> /dev/null
+    "$DEPBURST" fleet 8 60 "$SCALE" 1 $flags --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "brownout fleet is not byte-identical across --jobs 1 / --jobs 4"
         return 1
@@ -267,7 +278,7 @@ brownout_gate() {
 step "brownout gate: new chaos classes deterministic" brownout_gate
 
 # Durability gates: the storage layer must never serve corrupted bytes.
-# The torture binary crash-tests a small fig3 run at a handful of VFS
+# The torture subcommand crash-tests a small fig3 run at a handful of VFS
 # operation indices (resume must be byte-identical or fail closed with a
 # structured Storage exit), then runs the checksum sabotage sweep:
 # single bits flipped in a persisted cache envelope must be quarantined
@@ -276,7 +287,7 @@ step "brownout gate: new chaos classes deterministic" brownout_gate
 # binary. The full crash-point matrix (every operation index) is the
 # committed results/torture.json — regenerate with
 #
-#   target/release/torture
+#   target/release/depburst torture
 #
 # after touching the vfs, cache, or checkpoint layers.
 torture_gate() {
@@ -284,7 +295,7 @@ torture_gate() {
     local rc=0
     # Run from /tmp so the smoke sweep does not clobber the committed
     # full-matrix results/torture.json evidence.
-    (cd /tmp && "$OLDPWD/$BIN/torture" "$SCALE" 1 --dense 4 --stride 31 \
+    (cd /tmp && "$OLDPWD/$DEPBURST" torture "$SCALE" 1 --dense 4 --stride 31 \
         --max-points 10 --bitflips 48 > /dev/null 2> /dev/null \
         && cp results/torture.json "$json") || rc=$?
     if [ "$rc" -ne 0 ]; then
@@ -312,8 +323,8 @@ storage_identity() {
     local cache=/tmp/depburst-ci-storage-cache
     local id="ci-storage-$$"
     rm -rf "$out".*.out "$cache"
-    "$BIN/fig3" both "$SCALE" 1 --jobs 2 > "$out.plain.out" 2> /dev/null
-    DEPBURST_CACHE="$cache" "$BIN/fig3" both "$SCALE" 1 --jobs 2 \
+    "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 > "$out.plain.out" 2> /dev/null
+    DEPBURST_CACHE="$cache" "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 \
         --storage-faults 0.4,seed=5 --run-id "$id" > "$out.faulty.out" 2> /dev/null
     cmp "$out.plain.out" "$out.faulty.out" || {
         echo "fig3 under --storage-faults is not byte-identical to a clean run"
@@ -330,7 +341,7 @@ step "durability: fault-soaked sweep identity" storage_identity
 # A fixed-seed fuzz campaign over the clean simulator: 25 structured
 # cases under the full monitor, zero violations, exit 0.
 step "fuzz smoke (25 cases, seed 1)" \
-    eval "$BIN/fuzz --seeds 25 --seed 1 --shrink > /dev/null"
+    eval "$DEPBURST fuzz --seeds 25 --seed 1 --shrink > /dev/null"
 
 # Sabotage gate: weakening counter conservation via the test-only hook
 # must fire on every case, shrink to a minimal reproducer, serialize the
@@ -340,7 +351,7 @@ invariant_sabotage() {
     local out=/tmp/depburst-ci-fuzz.out
     local rc=0
     DEPBURST_BREAK_INVARIANT=counter-conservation \
-        "$BIN/fuzz" --seeds 3 --seed 42 --shrink > "$out" 2> /dev/null || rc=$?
+        "$DEPBURST" fuzz --seeds 3 --seed 42 --shrink > "$out" 2> /dev/null || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "sabotaged fuzz campaign: want exit 2, got $rc"
         return 1
@@ -361,7 +372,7 @@ step "fuzz sabotage gate" invariant_sabotage
 # topology, all chaos classes, the thermal stack — under the fleet
 # invariants, zero violations, exit 0.
 step "fleet fuzz smoke (200 cases, seed 1)" \
-    eval "$BIN/fuzz --fleet --seeds 200 --seed 1 --shrink > /dev/null"
+    eval "$DEPBURST fuzz --fleet --seeds 200 --seed 1 --shrink > /dev/null"
 
 # Fleet sabotage gates: each of the thermal/hierarchy invariants,
 # deliberately weakened via the test-only hook, must fire on the fleet
@@ -374,7 +385,7 @@ fleet_sabotage() {
     local out=/tmp/depburst-ci-fleet-fuzz.out
     local rc=0
     DEPBURST_BREAK_INVARIANT="$inv" \
-        "$BIN/fuzz" --fleet --seeds 12 --seed 1 --shrink > "$out" 2> /dev/null || rc=$?
+        "$DEPBURST" fuzz --fleet --seeds 12 --seed 1 --shrink > "$out" 2> /dev/null || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "sabotaged ($inv) fleet fuzz: want exit 2, got $rc"
         return 1
@@ -405,8 +416,8 @@ invariant_sweep() {
     local out=/tmp/depburst-ci-inv
     rm -f "$out".*.out
     DEPBURST_INVARIANTS=full \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 > "$out.full.out"
-    "$BIN/fig3" both "$SCALE" 1 --jobs 2 > "$out.plain.out"
+        "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 > "$out.full.out"
+    "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 > "$out.plain.out"
     cmp "$out.full.out" "$out.plain.out" || {
         echo "fig3 under DEPBURST_INVARIANTS=full is not byte-identical"
         return 1
@@ -422,11 +433,11 @@ step "invariants: monitored fig3 sweep" invariant_sweep
 invariant_sampled_sweep() {
     local out=/tmp/depburst-ci-inv-sampled
     rm -f "$out".*.out
-    "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.off.out"
+    "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 --sampling on > "$out.off.out"
     DEPBURST_INVARIANTS=cheap \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.cheap.out"
+        "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 --sampling on > "$out.cheap.out"
     DEPBURST_INVARIANTS=full \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.full.out"
+        "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 --sampling on > "$out.full.out"
     cmp "$out.off.out" "$out.cheap.out" || {
         echo "sampled fig3 under DEPBURST_INVARIANTS=cheap is not byte-identical"
         return 1
@@ -444,7 +455,7 @@ step "invariants: monitored sampled fig3 sweep" invariant_sampled_sweep
 # accepted bound for both execution time and GC time. The report is the
 # committed evidence behind the sampled tier; regenerate it with
 #
-#   target/release/sampling_error 1.0 3 --jobs 4
+#   target/release/depburst sampling_error 1.0 3 --jobs 4
 #
 # after touching the extrapolator, and this gate fails loudly if the
 # committed numbers regressed past the bound (or the report went missing
@@ -454,7 +465,7 @@ sampling_accuracy_gate() {
     local json=results/sampling_error.json
     local bound=0.02
     if [ ! -f "$json" ]; then
-        echo "missing $json — run: target/release/sampling_error 1.0 3 --jobs 4"
+        echo "missing $json — run: target/release/depburst sampling_error 1.0 3 --jobs 4"
         return 1
     fi
     local max_exec max_gc cells
