@@ -28,8 +28,11 @@
 //! function of the chaos schedule and lets
 //! `simx::Invariant::RejoinMonotonicity` check every recorded transition.
 
+use core::cmp::Ordering;
 use core::fmt;
+use std::collections::BinaryHeap;
 
+use depburst_core::DepburstError;
 use dvfs_trace::{Freq, FreqLadder};
 
 use crate::power::PowerModel;
@@ -347,6 +350,25 @@ impl MachineView<'_> {
     pub fn service_time(&self, freq: Freq) -> f64 {
         self.scaling_s / freq.ghz() + self.fixed_s
     }
+
+    /// Checks [`CentralGovernor::allocate`]'s precondition: `scaling_s`
+    /// and `fixed_s` are finite and non-negative (`-0.0` passes).
+    ///
+    /// # Errors
+    /// [`DepburstError::InvalidMachineView`] naming the machine and the
+    /// first offending field.
+    pub fn validate(&self) -> depburst_core::Result<()> {
+        for (field, value) in [("scaling_s", self.scaling_s), ("fixed_s", self.fixed_s)] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(DepburstError::InvalidMachineView {
+                    machine: self.id,
+                    field,
+                    value,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One central allocation round's outcome.
@@ -387,13 +409,137 @@ impl CentralGovernor {
     ///
     /// Greedy water-filling: every machine starts at its ladder minimum;
     /// each step raises the machine with the worst predicted service time
-    /// (ties broken by lower id) one ladder notch, if the power estimate
-    /// still fits; machines whose next notch does not fit are frozen.
-    /// Deterministic — no randomness, order fixed by (latency, id).
+    /// (ties broken by lower position in `views`) one ladder notch, if the
+    /// power estimate still fits; machines whose next notch does not fit
+    /// are frozen. Deterministic — no randomness, order fixed by
+    /// (latency, position).
+    ///
+    /// A max-heap keyed by (service time, position) finds each step's
+    /// machine, and a per-call table holds every view's power at every
+    /// rung, so a call costs O(N·L·log N) for N views on ladders of L
+    /// rungs. It makes exactly the pick sequence of the O(N²·L) scan kept
+    /// in [`reference::allocate`], so `freqs` are identical and `power_w`
+    /// is bit-identical (the deltas are added in the same order).
+    ///
+    /// Precondition: every view passes [`MachineView::validate`]. A NaN
+    /// service time has no place in the order, so the allocation is then
+    /// unspecified.
     #[must_use]
     pub fn allocate(&self, model: &PowerModel, views: &[MachineView<'_>], fleet_machines: usize) -> Allocation {
         let fleet = fleet_machines.max(views.len()).max(1);
         let available_w = self.budget_w * views.len() as f64 / fleet as f64;
+
+        // Row `i` of the power table is view i's power at each of its
+        // rungs, starting at `start[i]`.
+        let ones = vec![1.0; views.iter().map(|v| v.cores.max(1)).max().unwrap_or(1)];
+        let mut start = Vec::with_capacity(views.len() + 1);
+        let mut table = Vec::new();
+        for view in views {
+            start.push(table.len());
+            let cores = &ones[..view.cores.max(1)];
+            table.extend(view.ladder.iter().map(|f| model.power(f, cores).total()));
+        }
+        start.push(table.len());
+        let rungs = |i: usize| start[i + 1] - start[i];
+
+        let mut idx: Vec<usize> = vec![0; views.len()];
+        let mut power_w: f64 = start[..views.len()].iter().map(|&s| table[s]).sum();
+        let floor_w = power_w;
+
+        let raise = |i: usize, rung: usize| Raise {
+            latency: views[i].service_time(rung_freq(views[i].ladder, rung)),
+            pos: i,
+        };
+        let mut heap: BinaryHeap<Raise> = (0..views.len())
+            .filter(|&i| rungs(i) > 1)
+            .map(|i| raise(i, 0))
+            .collect();
+        while let Some(Raise { pos: i, .. }) = heap.pop() {
+            let at = start[i] + idx[i];
+            let delta = table[at + 1] - table[at];
+            if power_w + delta <= available_w {
+                idx[i] += 1;
+                power_w += delta;
+                if idx[i] + 1 < rungs(i) {
+                    heap.push(raise(i, idx[i]));
+                }
+            }
+            // A notch that does not fit freezes the machine: it never
+            // re-enters the heap.
+        }
+
+        Allocation {
+            freqs: idx
+                .iter()
+                .zip(views)
+                .map(|(&k, v)| rung_freq(v.ladder, k))
+                .collect(),
+            power_w,
+            available_w,
+            floor_w,
+        }
+    }
+}
+
+/// Rung `k` of `ladder` (the `k`-th element of [`FreqLadder::iter`]).
+fn rung_freq(ladder: &FreqLadder, k: usize) -> Freq {
+    Freq::from_mhz(ladder.min().mhz() + k as u32 * ladder.step_mhz())
+}
+
+/// One machine waiting in [`CentralGovernor::allocate`]'s heap: its
+/// service time at its current rung, and its position in `views`.
+#[derive(Debug, Clone, Copy)]
+struct Raise {
+    latency: f64,
+    pos: usize,
+}
+
+impl Ord for Raise {
+    /// Slowest first, then lowest position. `partial_cmp`, not
+    /// `total_cmp`: the scan compares with `>`, which (unlike `total_cmp`)
+    /// treats `-0.0` and `+0.0` as equal.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.latency
+            .partial_cmp(&other.latency)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.pos.cmp(&self.pos))
+    }
+}
+
+impl PartialOrd for Raise {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Raise {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Raise {}
+
+/// The original rescanning allocator, O(N²·L) per call, kept as the
+/// oracle for [`CentralGovernor::allocate`]'s equivalence proptest.
+#[doc(hidden)]
+pub mod reference {
+    use dvfs_trace::Freq;
+
+    use super::{Allocation, CentralGovernor, MachineView};
+    use crate::power::PowerModel;
+
+    /// [`CentralGovernor::allocate`] as a full rescan of `views` for every
+    /// one-notch raise.
+    #[must_use]
+    pub fn allocate(
+        governor: &CentralGovernor,
+        model: &PowerModel,
+        views: &[MachineView<'_>],
+        fleet_machines: usize,
+    ) -> Allocation {
+        let fleet = fleet_machines.max(views.len()).max(1);
+        let available_w = governor.budget_w * views.len() as f64 / fleet as f64;
 
         let ladders: Vec<Vec<Freq>> = views.iter().map(|v| v.ladder.iter().collect()).collect();
         let mut idx: Vec<usize> = vec![0; views.len()];
@@ -871,6 +1017,153 @@ mod tests {
         assert!((alone.available_w - 400.0).abs() < 1e-9);
         assert!((shared.available_w - 100.0).abs() < 1e-9);
         assert!(shared.freqs[0] <= alone.freqs[0]);
+    }
+
+    #[test]
+    fn ties_go_to_the_lower_position_not_the_lower_id() {
+        let model = PowerModel::haswell_22nm();
+        let l = ladder();
+        let notch = model.power(rung_freq(&l, 1), &[1.0; 4]).total()
+            - model.power(l.min(), &[1.0; 4]).total();
+        // Tied machines listed in descending id order: on a budget with
+        // room for one notch, the first in `views` gets it. The second
+        // set ties `-0.0` with `+0.0`, which `>` (unlike `total_cmp`)
+        // treats as equal.
+        for (scaling_s, fixed_s) in [
+            ([1.0, 1.0, 1.0], [0.1, 0.1, 0.1]),
+            ([-0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]),
+        ] {
+            let views: Vec<MachineView<'_>> = (0..3)
+                .map(|pos| MachineView {
+                    id: 2 - pos,
+                    ladder: &l,
+                    scaling_s: scaling_s[pos],
+                    fixed_s: fixed_s[pos],
+                    cores: 4,
+                })
+                .collect();
+            let floor = CentralGovernor::new(0.0)
+                .allocate(&model, &views, 3)
+                .floor_w;
+            let gov = CentralGovernor::new(floor + 1.5 * notch);
+            let alloc = gov.allocate(&model, &views, 3);
+            assert_eq!(alloc.freqs, vec![rung_freq(&l, 1), l.min(), l.min()]);
+            assert_eq!(alloc, reference::allocate(&gov, &model, &views, 3));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_nan_infinite_and_negative_views() {
+        let l = ladder();
+        let view = |scaling_s: f64, fixed_s: f64| MachineView {
+            id: 5,
+            ladder: &l,
+            scaling_s,
+            fixed_s,
+            cores: 4,
+        };
+        assert!(view(1.0, 0.1).validate().is_ok());
+        assert!(
+            view(0.0, -0.0).validate().is_ok(),
+            "signed zero is not negative"
+        );
+        for (s, f, field) in [
+            (f64::NAN, 0.1, "scaling_s"),
+            (1.0, f64::NAN, "fixed_s"),
+            (f64::INFINITY, 0.1, "scaling_s"),
+            (1.0, -1e-9, "fixed_s"),
+            (-1.0, 0.1, "scaling_s"),
+        ] {
+            match view(s, f).validate() {
+                Err(DepburstError::InvalidMachineView {
+                    machine: 5,
+                    field: got,
+                    ..
+                }) => {
+                    assert_eq!(got, field);
+                }
+                other => panic!("({s}, {f}): {other:?}"),
+            }
+        }
+    }
+
+    mod oracle {
+        use proptest::prelude::*;
+
+        use super::super::*;
+
+        /// Ladders drawn by index: the fleet's three, single-rung ones,
+        /// a two-rung one and a coarse one.
+        fn ladders() -> Vec<FreqLadder> {
+            let l = |min, max, step| {
+                FreqLadder::new(Freq::from_mhz(min), Freq::from_mhz(max), step).unwrap()
+            };
+            vec![
+                FreqLadder::paper_default(),
+                l(1000, 3500, 250),
+                l(1250, 3750, 125),
+                l(2000, 2000, 125),
+                l(1000, 1000, 500),
+                l(1500, 1625, 125),
+                l(800, 4000, 800),
+            ]
+        }
+
+        /// A service-time component: exact zeros of both signs, a coarse
+        /// grid that makes ties common, or a continuous value.
+        fn component(kind: u8, raw: u32) -> f64 {
+            match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from(raw % 4) * 0.5e-3,
+                _ => f64::from(raw) / f64::from(u32::MAX) * 5e-3,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The heap allocator makes the scan's exact decisions: same
+            /// frequencies, and bit-identical power sums, over arbitrary
+            /// views (ties, zeros of both signs, single-rung ladders, ids
+            /// out of position order, no views at all) and budgets from
+            /// zero to far above need.
+            #[test]
+            fn heap_allocation_matches_the_reference_scan(
+                machines in proptest::collection::vec(
+                    ((0usize..7, 1usize..9, 0usize..1000), (0u8..4, 0u32..=u32::MAX), (0u8..4, 0u32..=u32::MAX)),
+                    0..40,
+                ),
+                budget in (0u8..4, 0.0..1.0f64),
+                extra in 0usize..4,
+            ) {
+                let ladders = ladders();
+                let views: Vec<MachineView<'_>> = machines
+                    .iter()
+                    .map(|&((ladder, cores, id), (sk, sr), (fk, fr))| MachineView {
+                        id,
+                        ladder: &ladders[ladder],
+                        scaling_s: component(sk, sr),
+                        fixed_s: component(fk, fr),
+                        cores,
+                    })
+                    .collect();
+                let fleet = views.len() + extra;
+                let budget_w = match budget.0 {
+                    0 => 0.0,
+                    1 => 1e12,
+                    _ => budget.1 * 60.0 * fleet as f64,
+                };
+                let model = PowerModel::haswell_22nm();
+                let gov = CentralGovernor::new(budget_w);
+                let fast = gov.allocate(&model, &views, fleet);
+                let slow = reference::allocate(&gov, &model, &views, fleet);
+                prop_assert_eq!(&fast.freqs, &slow.freqs);
+                prop_assert_eq!(fast.power_w.to_bits(), slow.power_w.to_bits());
+                prop_assert_eq!(fast.floor_w.to_bits(), slow.floor_w.to_bits());
+                prop_assert_eq!(fast.available_w.to_bits(), slow.available_w.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod governor;
+pub mod governor;
 mod manager;
 mod metrics;
 mod oracle;

@@ -100,6 +100,18 @@ pub enum DepburstError {
         /// Why the experiment cannot honor it.
         detail: String,
     },
+    /// A machine's characterization cannot be allocated: a service-time
+    /// component the central governor orders machines by is NaN,
+    /// infinite or negative. Rejected before allocation, so a bad
+    /// characterization never silently decides who gets the budget.
+    InvalidMachineView {
+        /// The fleet-wide machine id.
+        machine: usize,
+        /// The offending field (`scaling_s` or `fixed_s`).
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// A runtime invariant monitor check failed (see `simx::invariants`):
     /// the simulated physics produced self-inconsistent state. Retrying is
     /// pointless — the same seeded inputs reproduce the same violation.
@@ -149,6 +161,15 @@ impl fmt::Display for DepburstError {
             DepburstError::UnsupportedOption { option, detail } => {
                 write!(f, "unsupported option {option}: {detail}")
             }
+            DepburstError::InvalidMachineView {
+                machine,
+                field,
+                value,
+            } => write!(
+                f,
+                "machine {machine} has an invalid view: {field} = {value} \
+                 (want finite and non-negative)"
+            ),
             DepburstError::InvariantViolation {
                 invariant,
                 at_secs,
@@ -230,6 +251,14 @@ mod tests {
                     detail: "the fleet round loop has no sampled tier".into(),
                 },
                 "unsupported option --sampling",
+            ),
+            (
+                DepburstError::InvalidMachineView {
+                    machine: 7,
+                    field: "scaling_s",
+                    value: f64::NAN,
+                },
+                "machine 7 has an invalid view: scaling_s = NaN",
             ),
         ];
         for (err, needle) in cases {

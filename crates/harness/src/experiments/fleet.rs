@@ -16,12 +16,12 @@
 //!    machine gets the DEP+BURST decomposition at request granularity:
 //!    `s(f) = scaling_s / f_ghz + fixed_s` over [`REQS`] requests.
 //! 2. **Round loop** — simulated time advances in [`ROUND_SECS`] rounds.
-//!    Per round, the central governor (sequential, pure) batches one
-//!    allocation from the telemetry it has; then every shard steps its
-//!    machines in parallel on the context's pool ([`ExecCtx::map`]
-//!    preserves order, each step is a pure function of its inputs), and
-//!    the machines' telemetry is batched back — delayed, staled, or
-//!    dropped per the chaos schedule.
+//!    Per round, the central governor (pure) batches one allocation from
+//!    the telemetry it has; then every shard steps its machines in plan
+//!    order on the calling thread (each step is a pure function of its
+//!    inputs, and a round is too short to repay a thread spawn), and the
+//!    machines' telemetry is batched back — delayed, staled, or dropped
+//!    per the chaos schedule.
 //!
 //! # Chaos and degradation
 //!
@@ -104,7 +104,7 @@ const OVERSHOOT_REL_TOL: f64 = 0.05;
 pub struct FleetConfig {
     /// Simulated machines.
     pub machines: usize,
-    /// Shards (parallel step granularity and journal namespaces).
+    /// Shards (characterization journal namespaces and step order).
     pub shards: usize,
     /// Fleet rounds to simulate.
     pub rounds: usize,
@@ -440,7 +440,7 @@ pub struct SyntheticMachine {
 }
 
 /// Static per-machine parameters plus mutable round state; owned by the
-/// machine's shard and moved through the pool every round.
+/// machine's shard.
 #[derive(Debug, Clone)]
 struct MachineState {
     id: usize,
@@ -555,14 +555,6 @@ struct RoundOut {
     /// The post-emergency thermal ceiling was violated this round.
     ceiling_breach: bool,
 }
-
-/// One machine's step input: chaos state, central assignment, breaker
-/// trip flag.
-type StepIn = (ChaosState, Option<Freq>, bool);
-
-/// One shard's step input: its machine states plus each machine's
-/// per-round inputs.
-type ShardStep = (Vec<MachineState>, Vec<StepIn>);
 
 /// A delayed telemetry datagram on the governor's ingest queue.
 #[derive(Debug, Clone, Copy)]
@@ -823,11 +815,243 @@ fn build_states(
         .collect()
 }
 
+/// What every stage of one fleet round reads: the run's fixed inputs
+/// plus this round's number and effective (browned-out) budget.
+struct RoundEnv<'a> {
+    config: &'a FleetConfig,
+    schedule: &'a ChaosSchedule,
+    model: &'a PowerModel,
+    machines: usize,
+    round: usize,
+    eff_w: f64,
+}
+
+impl RoundEnv<'_> {
+    /// Can machine `m` reach its central allocator this round? Flat
+    /// topology has no aggregator tier — every machine talks to the
+    /// root, so a root outage orphans the *whole fleet at once*. The
+    /// hierarchy answers from the machine's own region aggregator: a
+    /// root outage merely freezes cross-region rebalancing, and an
+    /// aggregator outage orphans one region, never the fleet.
+    fn unreachable(&self, m: usize) -> bool {
+        if self.config.hierarchy {
+            self.schedule
+                .aggregator_down(self.round, self.schedule.region_of(m))
+        } else {
+            self.schedule.root_down(self.round)
+        }
+    }
+}
+
+/// The central allocation stage: this round's fresh frequency per
+/// machine (`None` = no assignment) under the configured policy.
+///
+/// # Errors
+/// A view that fails [`MachineView::validate`] is rejected before any
+/// allocation runs; a hierarchy or power-budget conservation breach
+/// surfaces as an invariant violation.
+fn allocate_round(
+    env: &RoundEnv<'_>,
+    shards: &[Vec<MachineState>],
+    known: &[Known],
+    hier: &mut HierarchicalGovernor,
+    region_size: &[usize],
+) -> depburst_core::Result<Vec<Option<Freq>>> {
+    let (config, schedule, round, eff_w) = (env.config, env.schedule, env.round, env.eff_w);
+    let regions = schedule.regions();
+    let mut assigned: Vec<Option<Freq>> = vec![None; env.machines];
+    match config.policy {
+        GovernorPolicy::NaiveStatic => {
+            // No budget awareness: central says "maximum" to every
+            // reachable machine.
+            for states in shards {
+                for s in states {
+                    assigned[s.id] = Some(s.ladder.max());
+                }
+            }
+        }
+        GovernorPolicy::Oracle | GovernorPolicy::DepBurst => {
+            // Candidates: machines the governor believes are under
+            // central control and can reach right now. The oracle
+            // reads true state; DepBurst trusts its (possibly stale,
+            // lossy, delayed) telemetry.
+            let mut cands: Vec<(&MachineState, f64)> = Vec::new();
+            for states in shards {
+                for s in states {
+                    let chaos = schedule.state(round, s.id);
+                    if chaos.crashed || chaos.partitioned || env.unreachable(s.id) {
+                        continue;
+                    }
+                    let (mode, backlog) = match config.policy {
+                        GovernorPolicy::Oracle => (s.ladder_state.mode(), s.backlog),
+                        _ => (known[s.id].mode, known[s.id].backlog),
+                    };
+                    if mode == GovernorMode::Central {
+                        cands.push((s, backlog));
+                    }
+                }
+            }
+            // Load-weighted demand views: queued machines look
+            // slower, so the latency-levelling allocator feeds them
+            // first.
+            fn view_of<'a>(s: &'a MachineState, backlog: f64) -> MachineView<'a> {
+                MachineView {
+                    id: s.id,
+                    ladder: &s.ladder,
+                    scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
+                    fixed_s: s.fixed_s,
+                    cores: s.cores,
+                }
+            }
+            // Thermal-aware derating: the allocator plans in raw
+            // electrical watts, but hot silicon draws `leak ×
+            // planned` from the feed. A governor that ignores this
+            // allocates "within budget" and still overshoots —
+            // and the breaker then punishes machines that obeyed
+            // every order. Divide each slice's budget by its
+            // members' mean reported leak factor so the *effective*
+            // draw is what fits the slice.
+            let leak_of = |pred: &dyn Fn(&MachineState) -> bool| -> f64 {
+                if !config.thermal.enabled {
+                    return 1.0;
+                }
+                let (mut sum, mut n) = (0.0f64, 0u32);
+                for (s, _) in &cands {
+                    if pred(s) {
+                        sum += s.thermal.leak_factor();
+                        n += 1;
+                    }
+                }
+                if n == 0 { 1.0 } else { (sum / f64::from(n)).max(1.0) }
+            };
+            let mut slices: Vec<(Vec<usize>, Vec<MachineView<'_>>, f64, usize)> = Vec::new();
+            if config.hierarchy {
+                // Root tier: damped, dead-banded share rebalance
+                // toward per-region demand; frozen while the root
+                // itself is down (the regions run autonomously).
+                let mut demand = vec![0.0f64; regions];
+                for (s, backlog) in &cands {
+                    demand[s.region] += 1.0 + backlog / s.cap_max;
+                }
+                // Orphaned regions (aggregator down) report silence,
+                // not zero demand: freeze their shares so the outage
+                // cannot cascade into sibling windfalls and a starved
+                // rejoin.
+                let orphaned: Vec<bool> = (0..regions)
+                    .map(|r| schedule.aggregator_down(round, r))
+                    .collect();
+                hier.rebalance_masked(&demand, &orphaned, schedule.root_down(round));
+                let mut region_w: Vec<f64> =
+                    (0..regions).map(|r| hier.region_budget(r, eff_w)).collect();
+                if config.sabotage == Some(Invariant::HierarchyBudgetConservation) {
+                    region_w[0] *= 1.10;
+                }
+                let total: f64 = region_w.iter().sum();
+                if total > eff_w * (1.0 + 1e-9) + 1e-9 {
+                    return Err(violation(
+                        Invariant::HierarchyBudgetConservation,
+                        round,
+                        format!(
+                            "region budgets sum to {total:.2} W over an effective \
+                             {eff_w:.2} W"
+                        ),
+                    ));
+                }
+                for r in 0..regions {
+                    let ids: Vec<usize> = cands
+                        .iter()
+                        .filter(|(s, _)| s.region == r)
+                        .map(|(s, _)| s.id)
+                        .collect();
+                    let views: Vec<MachineView<'_>> = cands
+                        .iter()
+                        .filter(|(s, _)| s.region == r)
+                        .map(|(s, backlog)| view_of(s, *backlog))
+                        .collect();
+                    if !views.is_empty() {
+                        let leak = leak_of(&|s: &MachineState| s.region == r);
+                        slices.push((ids, views, region_w[r] / leak, region_size[r]));
+                    }
+                }
+            } else {
+                let ids: Vec<usize> = cands.iter().map(|(s, _)| s.id).collect();
+                let views: Vec<MachineView<'_>> = cands
+                    .iter()
+                    .map(|(s, backlog)| view_of(s, *backlog))
+                    .collect();
+                if !views.is_empty() {
+                    let leak = leak_of(&|_| true);
+                    slices.push((ids, views, eff_w / leak, env.machines));
+                }
+            }
+            // The allocator orders machines by service time: a NaN or
+            // negative one must fail here, not silently win.
+            slices
+                .iter()
+                .flat_map(|(_, views, _, _)| views)
+                .try_for_each(MachineView::validate)?;
+            for (ids, views, budget, fleet) in slices {
+                let alloc = CentralGovernor::new(budget).allocate(env.model, &views, fleet);
+                for (id, freq) in ids.iter().zip(&alloc.freqs) {
+                    assigned[*id] = Some(*freq);
+                }
+                // The water-filling cannot descend below the ladder
+                // minimum, so a browned-out or starved-share slice
+                // smaller than the mandatory floor is not a violation;
+                // only allocating *above* both the slice and the floor
+                // means the governor spent budget it did not have.
+                let bound = alloc.available_w.max(alloc.floor_w);
+                if alloc.power_w > bound * (1.0 + 1e-9) + 1e-9 {
+                    return Err(violation(
+                        Invariant::PowerBudgetConservation,
+                        round,
+                        format!(
+                            "central allocation estimates {:.1} W over a {:.1} W slice \
+                             (floor {:.1} W)",
+                            alloc.power_w, alloc.available_w, alloc.floor_w
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(assigned)
+}
+
+/// The step stage: every machine, shard by shard in plan order, through
+/// one [`step_machine`]. Returns the round outputs in that same order.
+fn step_shards(
+    env: &RoundEnv<'_>,
+    shards: &mut [Vec<MachineState>],
+    assigned: &[Option<Freq>],
+    breaker: &OvershootBreaker,
+) -> Vec<RoundOut> {
+    let breaker_on = env.config.thermal.enabled;
+    let mut outs = Vec::with_capacity(env.machines);
+    for state in shards.iter_mut().flatten() {
+        let mut chaos = env.schedule.state(env.round, state.id);
+        // Aggregator/root outages read as partitions at the machine: no
+        // fresh assignment, no rejoin credit.
+        chaos.partitioned = chaos.partitioned || env.unreachable(state.id);
+        let tripped = breaker_on && breaker.is_tripped(env.round as u64, state.id);
+        outs.push(step_machine(
+            state,
+            env.round,
+            chaos,
+            assigned[state.id],
+            tripped,
+            env.model,
+        ));
+    }
+    outs
+}
+
 /// Runs the round loop over prepared shard states and assembles the
 /// report. The heart of the fleet — shared by the simulator-backed
-/// [`run_with`] and the fuzzer's [`run_synthetic`].
+/// [`run_with`] and the fuzzer's [`run_synthetic`]. Each round runs its
+/// stages in order: telemetry ingest, [`allocate_round`],
+/// [`step_shards`], gather, breaker.
 fn run_rounds(
-    ctx: &ExecCtx,
     config: &FleetConfig,
     topo: &FleetTopology,
     mut shards: Vec<Vec<MachineState>>,
@@ -844,7 +1068,6 @@ fn run_rounds(
     let mut hier = HierarchicalGovernor::new(regions);
     let mut breaker = OvershootBreaker::new(machines, config.breaker);
     let breaker_on = config.thermal.enabled;
-    let sabotage_hierarchy = config.sabotage == Some(Invariant::HierarchyBudgetConservation);
 
     // The governor's delayed-telemetry ingest (DepBurst policy): what it
     // currently believes, and the in-flight datagrams.
@@ -874,252 +1097,63 @@ fn run_rounds(
         // The effective (browned-out) budget every allocator sees.
         let eff_w = config.budget_w * f64::from(schedule.budget_milli(round)) / 1000.0;
         eff_budget_sum += eff_w;
-        let root_down = schedule.root_down(round);
-
-        // Can machine m reach its central allocator this round? Flat
-        // topology has no aggregator tier — every machine talks to the
-        // root, so a root outage orphans the *whole fleet at once*. The
-        // hierarchy answers from the machine's own region aggregator: a
-        // root outage merely freezes cross-region rebalancing, and an
-        // aggregator outage orphans one region, never the fleet.
-        let unreachable = |m: usize| {
-            if config.hierarchy {
-                schedule.aggregator_down(round, schedule.region_of(m))
-            } else {
-                root_down
-            }
+        let env = RoundEnv {
+            config,
+            schedule: &schedule,
+            model: &model,
+            machines,
+            round,
+            eff_w,
         };
 
-        // Central allocation for this round's batch.
-        let mut assigned: Vec<Option<Freq>> = vec![None; machines];
-        match config.policy {
-            GovernorPolicy::NaiveStatic => {
-                // No budget awareness: central says "maximum" to every
-                // reachable machine.
-                for states in &shards {
-                    for s in states {
-                        assigned[s.id] = Some(s.ladder.max());
-                    }
-                }
-            }
-            GovernorPolicy::Oracle | GovernorPolicy::DepBurst => {
-                // Candidates: machines the governor believes are under
-                // central control and can reach right now. The oracle
-                // reads true state; DepBurst trusts its (possibly stale,
-                // lossy, delayed) telemetry.
-                let mut cands: Vec<(&MachineState, f64)> = Vec::new();
-                for states in &shards {
-                    for s in states {
-                        let chaos = schedule.state(round, s.id);
-                        if chaos.crashed || chaos.partitioned || unreachable(s.id) {
-                            continue;
-                        }
-                        let (mode, backlog) = match config.policy {
-                            GovernorPolicy::Oracle => (s.ladder_state.mode(), s.backlog),
-                            _ => (known[s.id].mode, known[s.id].backlog),
-                        };
-                        if mode == GovernorMode::Central {
-                            cands.push((s, backlog));
-                        }
-                    }
-                }
-                // Load-weighted demand views: queued machines look
-                // slower, so the latency-levelling allocator feeds them
-                // first.
-                fn view_of<'a>(s: &'a MachineState, backlog: f64) -> MachineView<'a> {
-                    MachineView {
-                        id: s.id,
-                        ladder: &s.ladder,
-                        scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
-                        fixed_s: s.fixed_s,
-                        cores: s.cores,
-                    }
-                }
-                // Thermal-aware derating: the allocator plans in raw
-                // electrical watts, but hot silicon draws `leak ×
-                // planned` from the feed. A governor that ignores this
-                // allocates "within budget" and still overshoots —
-                // and the breaker then punishes machines that obeyed
-                // every order. Divide each slice's budget by its
-                // members' mean reported leak factor so the *effective*
-                // draw is what fits the slice.
-                let leak_of = |pred: &dyn Fn(&MachineState) -> bool| -> f64 {
-                    if !config.thermal.enabled {
-                        return 1.0;
-                    }
-                    let (mut sum, mut n) = (0.0f64, 0u32);
-                    for (s, _) in &cands {
-                        if pred(s) {
-                            sum += s.thermal.leak_factor();
-                            n += 1;
-                        }
-                    }
-                    if n == 0 { 1.0 } else { (sum / f64::from(n)).max(1.0) }
-                };
-                let mut slices: Vec<(Vec<usize>, Vec<MachineView<'_>>, f64, usize)> = Vec::new();
-                if config.hierarchy {
-                    // Root tier: damped, dead-banded share rebalance
-                    // toward per-region demand; frozen while the root
-                    // itself is down (the regions run autonomously).
-                    let mut demand = vec![0.0f64; regions];
-                    for (s, backlog) in &cands {
-                        demand[s.region] += 1.0 + backlog / s.cap_max;
-                    }
-                    // Orphaned regions (aggregator down) report silence,
-                    // not zero demand: freeze their shares so the outage
-                    // cannot cascade into sibling windfalls and a starved
-                    // rejoin.
-                    let orphaned: Vec<bool> = (0..regions)
-                        .map(|r| schedule.aggregator_down(round, r))
-                        .collect();
-                    hier.rebalance_masked(&demand, &orphaned, root_down);
-                    let mut region_w: Vec<f64> =
-                        (0..regions).map(|r| hier.region_budget(r, eff_w)).collect();
-                    if sabotage_hierarchy {
-                        region_w[0] *= 1.10;
-                    }
-                    let total: f64 = region_w.iter().sum();
-                    if total > eff_w * (1.0 + 1e-9) + 1e-9 {
-                        return Err(violation(
-                            Invariant::HierarchyBudgetConservation,
-                            round,
-                            format!(
-                                "region budgets sum to {total:.2} W over an effective \
-                                 {eff_w:.2} W"
-                            ),
-                        ));
-                    }
-                    for r in 0..regions {
-                        let ids: Vec<usize> = cands
-                            .iter()
-                            .filter(|(s, _)| s.region == r)
-                            .map(|(s, _)| s.id)
-                            .collect();
-                        let views: Vec<MachineView<'_>> = cands
-                            .iter()
-                            .filter(|(s, _)| s.region == r)
-                            .map(|(s, backlog)| view_of(s, *backlog))
-                            .collect();
-                        if !views.is_empty() {
-                            let leak = leak_of(&|s: &MachineState| s.region == r);
-                            slices.push((ids, views, region_w[r] / leak, region_size[r]));
-                        }
-                    }
-                } else {
-                    let ids: Vec<usize> = cands.iter().map(|(s, _)| s.id).collect();
-                    let views: Vec<MachineView<'_>> = cands
-                        .iter()
-                        .map(|(s, backlog)| view_of(s, *backlog))
-                        .collect();
-                    if !views.is_empty() {
-                        let leak = leak_of(&|_| true);
-                        slices.push((ids, views, eff_w / leak, machines));
-                    }
-                }
-                for (ids, views, budget, fleet) in slices {
-                    let alloc = CentralGovernor::new(budget).allocate(&model, &views, fleet);
-                    for (id, freq) in ids.iter().zip(&alloc.freqs) {
-                        assigned[*id] = Some(*freq);
-                    }
-                    // The water-filling cannot descend below the ladder
-                    // minimum, so a browned-out or starved-share slice
-                    // smaller than the mandatory floor is not a violation;
-                    // only allocating *above* both the slice and the floor
-                    // means the governor spent budget it did not have.
-                    let bound = alloc.available_w.max(alloc.floor_w);
-                    if alloc.power_w > bound * (1.0 + 1e-9) + 1e-9 {
-                        return Err(violation(
-                            Invariant::PowerBudgetConservation,
-                            round,
-                            format!(
-                                "central allocation estimates {:.1} W over a {:.1} W slice \
-                                 (floor {:.1} W)",
-                                alloc.power_w, alloc.available_w, alloc.floor_w
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Parallel shard step: pure per-machine functions, plan order.
-        let inputs: Vec<ShardStep> = shards
-            .drain(..)
-            .map(|states| {
-                let ins = states
-                    .iter()
-                    .map(|s| {
-                        let mut chaos = schedule.state(round, s.id);
-                        // Aggregator/root outages read as partitions at
-                        // the machine: no fresh assignment, no rejoin
-                        // credit.
-                        chaos.partitioned = chaos.partitioned || unreachable(s.id);
-                        let tripped = breaker_on && breaker.is_tripped(round as u64, s.id);
-                        (chaos, assigned[s.id], tripped)
-                    })
-                    .collect();
-                (states, ins)
-            })
-            .collect();
-        let stepped: Vec<(Vec<MachineState>, Vec<RoundOut>)> =
-            ctx.map(inputs, |(mut states, ins)| {
-                let outs = states
-                    .iter_mut()
-                    .zip(&ins)
-                    .map(|(state, &(chaos, central, tripped))| {
-                        step_machine(state, round, chaos, central, tripped, &model)
-                    })
-                    .collect();
-                (states, outs)
-            });
+        let assigned = allocate_round(&env, &shards, &known, &mut hier, &region_size)?;
+        let outs = step_shards(&env, &mut shards, &assigned, &breaker);
 
         // Gather: ladder membership, thermal ceiling, power accounting,
         // telemetry batch.
         let mut round_power = 0.0;
         let mut powers = vec![0.0f64; machines];
-        for (states, outs) in &stepped {
-            for (state, out) in states.iter().zip(outs) {
-                if !state.ladder.contains(out.freq) {
-                    return Err(violation(
-                        Invariant::LadderMembership,
-                        round,
-                        format!("machine {} ran off-ladder at {}", out.machine, out.freq),
-                    ));
-                }
-                if out.ceiling_breach {
-                    return Err(violation(
-                        Invariant::ThermalCeiling,
-                        round,
-                        format!(
-                            "machine {} coasted past its post-emergency ceiling at {} m°C",
-                            out.machine,
-                            state.thermal.true_mc()
-                        ),
-                    ));
-                }
-                round_power += out.energy / ROUND_SECS;
-                powers[out.machine] = out.energy / ROUND_SECS;
-                let chaos = schedule.state(round, out.machine);
-                if let Some(mode) = out.mode {
-                    if !chaos.telemetry_lost {
-                        // Stale harvests deliver the previous round's
-                        // value; slow links arrive late; both on
-                        // time-ordered queues so delivery order is
-                        // deterministic.
-                        let content = if chaos.stale {
-                            prev_backlog[out.machine]
-                        } else {
-                            out.backlog
-                        };
-                        inflight[out.machine].push_back(Telemetry {
-                            due: round + 1 + chaos.link_delay as usize,
-                            backlog: content,
-                            mode,
-                        });
-                    }
-                }
-                prev_backlog[out.machine] = out.backlog;
+        for (state, out) in shards.iter().flatten().zip(&outs) {
+            if !state.ladder.contains(out.freq) {
+                return Err(violation(
+                    Invariant::LadderMembership,
+                    round,
+                    format!("machine {} ran off-ladder at {}", out.machine, out.freq),
+                ));
             }
+            if out.ceiling_breach {
+                return Err(violation(
+                    Invariant::ThermalCeiling,
+                    round,
+                    format!(
+                        "machine {} coasted past its post-emergency ceiling at {} m°C",
+                        out.machine,
+                        state.thermal.true_mc()
+                    ),
+                ));
+            }
+            round_power += out.energy / ROUND_SECS;
+            powers[out.machine] = out.energy / ROUND_SECS;
+            let chaos = schedule.state(round, out.machine);
+            if let Some(mode) = out.mode {
+                if !chaos.telemetry_lost {
+                    // Stale harvests deliver the previous round's
+                    // value; slow links arrive late; both on
+                    // time-ordered queues so delivery order is
+                    // deterministic.
+                    let content = if chaos.stale {
+                        prev_backlog[out.machine]
+                    } else {
+                        out.backlog
+                    };
+                    inflight[out.machine].push_back(Telemetry {
+                        due: round + 1 + chaos.link_delay as usize,
+                        backlog: content,
+                        mode,
+                    });
+                }
+            }
+            prev_backlog[out.machine] = out.backlog;
         }
         if round_power > eff_w * (1.0 + OVERSHOOT_REL_TOL) {
             overshoot_rounds += 1;
@@ -1129,7 +1163,6 @@ fn run_rounds(
             // overshooters to the floor, release them staggered.
             breaker.observe(round as u64, eff_w, &powers);
         }
-        shards = stepped.into_iter().map(|(states, _)| states).collect();
     }
 
     // Post-run invariants and report assembly.
@@ -1274,7 +1307,7 @@ fn run_rounds(
 
 /// Runs the fleet on `ctx`: characterization through the memoized,
 /// journaled point pipeline (per-shard namespaces), then the round loop
-/// with per-shard parallel stepping. The outcome is a pure function of
+/// on the calling thread. The outcome is a pure function of
 /// the config — any worker count, any cache temperature.
 ///
 /// # Errors
@@ -1357,7 +1390,7 @@ pub fn run_with(ctx: &ExecCtx, config: &FleetConfig) -> depburst_core::Result<Fl
         }
     };
     let shards = build_states(config, &topo, &|m| bench_of[m].name, &params, cores);
-    let report = run_rounds(ctx, config, &topo, shards)?;
+    let report = run_rounds(config, &topo, shards)?;
     Ok(FleetOutcome { report, charact })
 }
 
@@ -1385,7 +1418,7 @@ pub fn run_synthetic(
         &|m| params[m % params.len()],
         cores,
     );
-    run_rounds(&ExecCtx::sequential(), config, &topo, shards)
+    run_rounds(config, &topo, shards)
 }
 
 /// Renders the fleet report as the experiment's text table plus the

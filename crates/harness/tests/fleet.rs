@@ -4,6 +4,7 @@
 //! shard's checkpoint state independent, and — at zero chaos intensity —
 //! reproduces the existing single-machine golden byte-for-byte.
 
+use depburst_core::DepburstError;
 use dvfs_trace::Freq;
 use energyx::{DegradationConfig, DegradationLadder};
 use harness::experiments::fleet::{self, machine_ladder, FleetConfig};
@@ -311,4 +312,48 @@ fn namespaced_keys_are_stable_across_processes() {
     let ns = key.in_namespace("shard7");
     assert_eq!(ns, key.in_namespace("shard7"));
     assert_ne!(ns, key.in_namespace("shard8"));
+}
+
+#[test]
+fn nan_characterization_is_rejected_before_allocation() {
+    // A NaN service time would silently win every argmax in the
+    // allocator. The allocation stage must refuse it with a structured
+    // error naming the machine instead.
+    let good = fleet::SyntheticMachine {
+        scaling_s: 2.4e-3,
+        fixed_s: 0.4e-3,
+        alloc_per_req: 1.5e5,
+        bytes_per_gc: 6.0e7,
+        gc_pause_s: 8e-3,
+    };
+    let nan = fleet::SyntheticMachine {
+        scaling_s: f64::NAN,
+        ..good
+    };
+    let negative = fleet::SyntheticMachine {
+        fixed_s: -1e-3,
+        ..good
+    };
+    let mut config = tiny_config(4, 2, 0.0, 1);
+    config.policy = energyx::GovernorPolicy::DepBurst;
+    assert!(fleet::run_synthetic(&config, &[good]).is_ok());
+    match fleet::run_synthetic(&config, &[good, good, nan]) {
+        Err(DepburstError::InvalidMachineView {
+            machine: 2,
+            field: "scaling_s",
+            value,
+        }) => assert!(value.is_nan()),
+        other => panic!("want an InvalidMachineView for machine 2, got {other:?}"),
+    }
+    match fleet::run_synthetic(&config, &[good, negative]) {
+        Err(DepburstError::InvalidMachineView {
+            machine: 1,
+            field: "fixed_s",
+            ..
+        }) => {}
+        other => panic!("want an InvalidMachineView for machine 1, got {other:?}"),
+    }
+    // The budget-oblivious policy never calls the allocator.
+    config.policy = energyx::GovernorPolicy::NaiveStatic;
+    assert!(fleet::run_synthetic(&config, &[good, good, nan]).is_ok());
 }

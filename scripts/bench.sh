@@ -8,12 +8,10 @@
 #                     lusearch point, best of 3: wall seconds and
 #                     events/second) plus the full fig3 sweep wall time,
 #                     exact and on the sampled tier (`--sampling on`).
-#   BENCH_fleet.json  the fleet pipeline (64 machines, 4 shards, 200
-#                     rounds, chaos 0.5, seed 1): wall seconds and
-#                     machine-rounds/second, plus the same fleet with
-#                     the thermal/power-integrity layer armed (RC model,
-#                     throttle ladder, breaker, hierarchical governor,
-#                     brownout chaos) and the measured overhead percent.
+#   BENCH_fleet.json  the DEP+BURST fleet round loop at --jobs 1, best
+#                     of 3 with min/max: 640 x 200, 6,400 x 200 and
+#                     25,600 x 50 machine-rounds with chaos off, and the
+#                     thermal/hierarchy layer armed at 640 x 200.
 #
 # Workloads are fixed so snapshots compare across commits; wall time
 # excludes the build. Every benchmark process must exit 0 — a nonzero
@@ -110,57 +108,70 @@ awk -v bench="$SP_BENCH" -v ghz="$SP_GHZ" -v sc="$SP_SCALE" \
 
 cat BENCH_sim.json
 
-# --- fleet pipeline ----------------------------------------------------
-MACHINES=64
-SHARDS=4
-ROUNDS=200
-SCALE=0.02
-JOBS=4
+# --- fleet round loop --------------------------------------------------
+# DEP+BURST fleets on one worker, each row best of 3 with its min/max
+# spread. Rows sweep size (640 → 25,600 machines) so the round loop's
+# scaling shows; the armed row adds the thermal/power-integrity layer
+# (RC model, throttle ladder, breaker, 4-region hierarchy, legacy chaos
+# 0.5 + brownout 0.3 + region-crash 0.2 + sensor-stuck 0.2). Every run
+# starts in a fresh temp directory, so results/fleet.json is untouched;
+# characterization at scale 0.02 is part of each run's wall time.
+FLEET_SHARDS=4
+FLEET_SCALE=0.02
+FLEET_TMP=$(mktemp -d)
+trap 'rm -rf "$FLEET_TMP"' EXIT
+DEPBURST="$PWD/target/release/depburst"
+ARMED="--chaos 0.5 --chaos-seed 7 --regions 4 --hierarchy on --thermal on \
+    --brownout 0.3 --region-crash 0.2 --sensor-stuck 0.2"
 
-t0=$(now)
-target/release/depburst fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
-    --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
-    --jobs "$JOBS" > /dev/null \
-    || fail "fleet benchmark exited nonzero"
-t1=$(now)
-fleet_secs=$(elapsed "$t0" "$t1")
+# fleet_row NAME MACHINES ROUNDS [EXTRA FLAGS]: prints one JSON row.
+fleet_row() {
+    local name="$1" machines="$2" rounds="$3" extra="${4:-}"
+    local min="" max="" t0 t1 secs dir
+    for i in 1 2 3; do
+        dir="$FLEET_TMP/$name-$i"
+        mkdir -p "$dir"
+        t0=$(now)
+        # shellcheck disable=SC2086
+        (cd "$dir" && "$DEPBURST" fleet "$machines" "$rounds" "$FLEET_SCALE" 1 \
+            --shards "$FLEET_SHARDS" --policy depburst --jobs 1 $extra > /dev/null 2>&1) \
+            || fail "fleet row $name exited nonzero"
+        t1=$(now)
+        secs=$(elapsed "$t0" "$t1")
+        if [ -z "$min" ] || awk -v a="$secs" -v b="$min" 'BEGIN { exit !(a < b) }'; then
+            min="$secs"
+        fi
+        if [ -z "$max" ] || awk -v a="$secs" -v b="$max" 'BEGIN { exit !(a > b) }'; then
+            max="$secs"
+        fi
+    done
+    awk -v n="$name" -v m="$machines" -v r="$rounds" -v lo="$min" -v hi="$max" \
+        -v armed="$([ -n "$extra" ] && echo true || echo false)" 'BEGIN {
+        printf "    {\"name\": \"%s\", \"machines\": %d, \"rounds\": %d, ", n, m, r
+        printf "\"armed\": %s, \"min_wall_seconds\": %.3f, ", armed, lo
+        printf "\"max_wall_seconds\": %.3f, ", hi
+        printf "\"machine_rounds_per_second\": %.0f}", m * r / lo
+    }'
+}
 
-# The same fleet with the thermal/power-integrity layer fully armed:
-# per-machine RC thermal model + throttle ladder + overshoot breaker,
-# hierarchical governance over 4 regions, and the brownout /
-# aggregator-crash / stuck-sensor chaos classes on top of the legacy
-# schedule. The characterization points are shared with the run above
-# through the memo cache, so the delta is the round loop's thermal cost.
-t0=$(now)
-target/release/depburst fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
-    --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
-    --regions 4 --hierarchy on --thermal on \
-    --brownout 0.3 --region-crash 0.2 --sensor-stuck 0.2 \
-    --jobs "$JOBS" > /dev/null \
-    || fail "thermal fleet benchmark exited nonzero"
-t1=$(now)
-thermal_secs=$(elapsed "$t0" "$t1")
+# One assignment per row, so a failing row aborts the script (set -e).
+row_small=$(fleet_row flat-640x200 640 200)
+row_mid=$(fleet_row flat-6400x200 6400 200)
+row_large=$(fleet_row flat-25600x50 25600 50)
+row_armed=$(fleet_row armed-640x200 640 200 "$ARMED")
 
-awk -v secs="$fleet_secs" -v tsecs="$thermal_secs" -v m="$MACHINES" \
-    -v r="$ROUNDS" -v sh="$SHARDS" -v j="$JOBS" -v sc="$SCALE" 'BEGIN {
-    printf "{\n"
-    printf "  \"benchmark\": \"fleet\",\n"
-    printf "  \"machines\": %d,\n", m
-    printf "  \"shards\": %d,\n", sh
-    printf "  \"rounds\": %d,\n", r
-    printf "  \"scale\": %s,\n", sc
-    printf "  \"jobs\": %d,\n", j
-    printf "  \"wall_seconds\": %.3f,\n", secs
-    printf "  \"machine_rounds_per_second\": %.0f,\n", m * r / secs
-    printf "  \"thermal\": {\n"
-    printf "    \"regions\": 4,\n"
-    printf "    \"hierarchy\": true,\n"
-    printf "    \"chaos\": \"legacy 0.5 + brownout 0.3 + region-crash 0.2 + sensor-stuck 0.2\",\n"
-    printf "    \"wall_seconds\": %.3f,\n", tsecs
-    printf "    \"machine_rounds_per_second\": %.0f,\n", m * r / tsecs
-    printf "    \"overhead_pct\": %.1f\n", (tsecs / secs - 1) * 100
-    printf "  }\n"
-    printf "}\n"
-}' > BENCH_fleet.json
+{
+    printf '{\n'
+    printf '  "benchmark": "fleet",\n'
+    printf '  "policy": "depburst",\n'
+    printf '  "shards": %d,\n' "$FLEET_SHARDS"
+    printf '  "scale": %s,\n' "$FLEET_SCALE"
+    printf '  "jobs": 1,\n'
+    printf '  "repeats": 3,\n'
+    printf '  "armed_flags": "%s",\n' "$(echo $ARMED)"
+    printf '  "rows": [\n%s,\n%s,\n%s,\n%s\n  ]\n' \
+        "$row_small" "$row_mid" "$row_large" "$row_armed"
+    printf '}\n'
+} > BENCH_fleet.json
 
 cat BENCH_fleet.json

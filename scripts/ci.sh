@@ -36,6 +36,21 @@ step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
 # discarded; a nonzero exit fails CI.
 SCALE=0.02
 DEPBURST=target/release/depburst
+ROOT=$PWD
+
+# Subcommands that write results/*.json run from throwaway directories
+# under one mktemp -d, so CI never overwrites the committed artifacts.
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
+
+# `in_tmp NAME ARGS...` runs `depburst ARGS...` with $SCRATCH/NAME as its
+# working directory; its reports land in $SCRATCH/NAME/results/.
+in_tmp() {
+    local dir="$SCRATCH/$1"
+    shift
+    mkdir -p "$dir"
+    (cd "$dir" && "$ROOT/$DEPBURST" "$@")
+}
 smoke() {
     local name="$1"
     shift
@@ -51,8 +66,8 @@ smoke table1   "$DEPBURST table1 $SCALE --jobs 2"
 smoke table2   "$DEPBURST table2"
 smoke ablation "$DEPBURST ablation $SCALE 1 --jobs 2"
 smoke percore  "$DEPBURST percore $SCALE 1 lusearch --jobs 2"
-smoke faults   "$DEPBURST faults $SCALE 1 10 --jobs 2"
-smoke fleet    "$DEPBURST fleet 4 40 $SCALE 1 --shards 2 --jobs 2"
+smoke faults   "in_tmp smoke faults $SCALE 1 10 --jobs 2"
+smoke fleet    "in_tmp smoke fleet 4 40 $SCALE 1 --shards 2 --jobs 2"
 smoke bench    "$DEPBURST bench"
 
 # An unknown subcommand is a usage error: exit 1, never a run.
@@ -128,19 +143,19 @@ step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% o
 # journal. (FailureCause serializes by variant name: "Panic"/"Timeout".)
 
 # A certain panic-point cell per benchmark: every other cell completes,
-# the dead cells land in results/faults_failures.json, and the process
-# exits 2.
+# the dead cells land in the run's results/faults_failures.json, and the
+# process exits 2.
 resilience_panic() {
-    rm -f results/faults_failures.json
+    local report="$SCRATCH/panic/results/faults_failures.json"
     local rc=0
-    "$DEPBURST" faults "$SCALE" 1 10 --jobs 2 --retries 1 --panic-point 1.0 \
+    in_tmp panic faults "$SCALE" 1 10 --jobs 2 --retries 1 --panic-point 1.0 \
         > /dev/null 2> /dev/null || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "faults --panic-point 1.0: want exit 2, got $rc"
         return 1
     fi
-    grep -q '"Panic"' results/faults_failures.json || {
-        echo "results/faults_failures.json lacks a Panic failure"
+    grep -q '"Panic"' "$report" || {
+        echo "$report lacks a Panic failure"
         return 1
     }
 }
@@ -199,15 +214,15 @@ step "resilience: interrupt + resume" resilience_resume
 chaos_gate() {
     local out=/tmp/depburst-ci-fleet
     rm -f "$out".*.out
-    "$DEPBURST" fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
+    in_tmp chaos fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
         --policy depburst --jobs 1 > "$out.j1.out" 2> /dev/null
-    "$DEPBURST" fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
+    in_tmp chaos fleet 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
         --policy depburst --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "chaos fleet is not byte-identical across --jobs 1 / --jobs 4"
         return 1
     }
-    grep -q "crash-restart\|partition" results/fleet.json || {
+    grep -q "crash-restart\|partition" "$SCRATCH/chaos/results/fleet.json" || {
         echo "chaos fleet report lacks degradation transitions"
         return 1
     }
@@ -225,8 +240,8 @@ step "chaos gate: fleet determinism under faults" chaos_gate
 thermal_gate() {
     local out=/tmp/depburst-ci-thermal
     rm -f "$out".*.out
-    "$DEPBURST" thermal 12 160 0.02 1 --jobs 1 > "$out.j1.out" 2> /dev/null
-    "$DEPBURST" thermal 12 160 0.02 1 --jobs 4 > "$out.j4.out" 2> /dev/null
+    in_tmp thermal thermal 12 160 0.02 1 --jobs 1 > "$out.j1.out" 2> /dev/null
+    in_tmp thermal thermal 12 160 0.02 1 --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "thermal matrix is not byte-identical across --jobs 1 / --jobs 4"
         return 1
@@ -262,20 +277,39 @@ brownout_gate() {
         --chaos 0.3 --chaos-seed 7 --policy depburst"
     rm -f "$out".*.out
     # shellcheck disable=SC2086
-    "$DEPBURST" fleet 8 60 "$SCALE" 1 $flags --jobs 1 > "$out.j1.out" 2> /dev/null
+    in_tmp brownout fleet 8 60 "$SCALE" 1 $flags --jobs 1 > "$out.j1.out" 2> /dev/null
     # shellcheck disable=SC2086
-    "$DEPBURST" fleet 8 60 "$SCALE" 1 $flags --jobs 4 > "$out.j4.out" 2> /dev/null
+    in_tmp brownout fleet 8 60 "$SCALE" 1 $flags --jobs 4 > "$out.j4.out" 2> /dev/null
     cmp "$out.j1.out" "$out.j4.out" || {
         echo "brownout fleet is not byte-identical across --jobs 1 / --jobs 4"
         return 1
     }
-    grep -q '"brownout_rounds": [1-9]' results/fleet.json || {
+    grep -q '"brownout_rounds": [1-9]' "$SCRATCH/brownout/results/fleet.json" || {
         echo "brownout fleet report records no brownout rounds"
         return 1
     }
     rm -f "$out".*.out
 }
 step "brownout gate: new chaos classes deterministic" brownout_gate
+
+# Artifact gate: the committed fleet and thermal reports must reproduce
+# byte for byte from the commands that made them (see EXPERIMENTS.md's
+# fleet and thermal sections), so a
+# change to the round loop or the allocator that moves a single bit of
+# either report fails here.
+artifacts_reproduce() {
+    in_tmp artifacts fleet 8 120 0.05 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
+        --policy depburst > /dev/null 2> /dev/null
+    in_tmp artifacts thermal 12 160 0.02 1 > /dev/null 2> /dev/null
+    local name
+    for name in fleet thermal; do
+        cmp "$SCRATCH/artifacts/results/$name.json" "results/$name.json" || {
+            echo "results/$name.json does not reproduce from its committed command"
+            return 1
+        }
+    done
+}
+step "artifact gate: committed fleet + thermal reports reproduce" artifacts_reproduce
 
 # Durability gates: the storage layer must never serve corrupted bytes.
 # The torture subcommand crash-tests a small fig3 run at a handful of VFS
