@@ -24,11 +24,16 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use dacapo_sim::Benchmark;
 use depburst_core::stablehash::StableHasher;
+#[cfg(test)]
 use serde::{Deserialize, Serialize};
 use simx::{FaultConfig, MachineConfig};
 
 use crate::run::RunSummary;
-use crate::vfs::{fnv1a64, write_atomic, RealVfs, Vfs};
+use crate::vfs::{write_atomic, RealVfs, Vfs};
+
+pub(crate) mod envelope;
+
+use envelope::Encoded;
 
 /// Version of the cached-entry schema. Bump on any change to the
 /// simulator's observable behaviour, the workload models, or the
@@ -163,38 +168,15 @@ pub fn sim_key_from_digests(
     SimKey(h.finish())
 }
 
-/// The on-disk envelope around a cached summary.
+/// The derived parse of an on-disk envelope: the verifier before
+/// [`envelope::open`], kept as the test oracle it is compared against.
+#[cfg(test)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CacheEnvelope {
-    /// Schema version the entry was written under.
     schema: u32,
-    /// Hex content key, re-checked on load (defends against renamed files).
     key: String,
-    /// FNV-1a 64 digest (16 hex digits) of the serialized `summary`
-    /// field, re-checked on load: bit rot anywhere in the payload is
-    /// detected and the envelope quarantined, never served.
     checksum: String,
-    /// The cached result.
     summary: RunSummary,
-}
-
-/// The checksum field's rendering of a serialized summary. Shared with
-/// the checkpoint journal, whose records carry the same framing.
-pub(crate) fn summary_checksum(summary_json: &str) -> String {
-    format!("{:016x}", fnv1a64(summary_json.as_bytes()))
-}
-
-/// Composes the envelope text around an already-serialized summary,
-/// byte-identical to serializing a [`CacheEnvelope`] (asserted by a
-/// test) without re-walking the multi-KB summary a second time. The
-/// non-payload fields are plain hex/integers, so no JSON escaping is
-/// needed. Shared with the checkpoint journal: a journal record is the
-/// same `{schema, key, checksum, summary}` framing, one per line.
-pub(crate) fn compose_envelope(key: SimKey, checksum: &str, summary_json: &str) -> String {
-    format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"key\":\"{}\",\"checksum\":\"{checksum}\",\"summary\":{summary_json}}}",
-        key.hex()
-    )
 }
 
 /// Hit/miss counters of a cache (for CI logs and tests).
@@ -328,10 +310,27 @@ impl SimCache {
     where
         F: FnOnce() -> depburst_core::Result<RunSummary>,
     {
+        self.fetch(key, compute).map(|(summary, _)| summary)
+    }
+
+    /// [`get_or_compute`](Self::get_or_compute), also handing back the
+    /// summary's encoding when this call already holds one: the verified
+    /// bytes of a disk hit, or the encoding a persisted miss stored.
+    /// `None` on a memory hit or an in-memory cache. The checkpoint
+    /// journal frames that encoding instead of serializing the summary
+    /// again.
+    pub(crate) fn fetch<F>(
+        &self,
+        key: SimKey,
+        compute: F,
+    ) -> depburst_core::Result<(Arc<RunSummary>, Option<Encoded>)>
+    where
+        F: FnOnce() -> depburst_core::Result<RunSummary>,
+    {
         loop {
             if let Some(hit) = self.mem.lock().expect("cache lock").get(&key.0) {
                 self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(hit));
+                return Ok((Arc::clone(hit), None));
             }
             let mut flying = self.in_flight.lock().expect("flight lock");
             if flying.insert(key.0) {
@@ -343,7 +342,7 @@ impl SimCache {
         }
         let guard = FlightGuard { cache: self, key };
         let outcome = self.load_or_compute(key, compute);
-        if let Ok(summary) = &outcome {
+        if let Ok((summary, _)) = &outcome {
             self.mem
                 .lock()
                 .expect("cache lock")
@@ -357,66 +356,35 @@ impl SimCache {
         &self,
         key: SimKey,
         compute: F,
-    ) -> depburst_core::Result<Arc<RunSummary>>
+    ) -> depburst_core::Result<(Arc<RunSummary>, Option<Encoded>)>
     where
         F: FnOnce() -> depburst_core::Result<RunSummary>,
     {
-        if let Some(summary) = self.load_from_disk(key) {
+        if let Some((summary, encoded)) = self.load_from_disk(key) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(summary));
+            return Ok((Arc::new(summary), Some(encoded)));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let summary = Arc::new(compute()?);
-        self.store_to_disk(key, &summary);
-        Ok(summary)
+        let encoded = self.store_to_disk(key, &summary);
+        Ok((summary, encoded))
     }
 
     fn entry_path(&self, key: SimKey) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{}.json", key.hex())))
     }
 
-    fn load_from_disk(&self, key: SimKey) -> Option<RunSummary> {
+    fn load_from_disk(&self, key: SimKey) -> Option<(RunSummary, Encoded)> {
         let path = self.entry_path(key)?;
         // An absent entry is the ordinary cold-cache case, not corruption.
         let bytes = self.vfs.read(&path).ok()?;
-        match serde_json::from_slice::<CacheEnvelope>(&bytes) {
-            Ok(envelope) if envelope.schema == SCHEMA_VERSION && envelope.key == key.hex() => {
-                // Integrity framing: the checksum was computed over the
-                // summary's serialization at store time. Re-serializing
-                // the parsed summary reproduces those exact bytes (the
-                // shim serializer is canonical and summaries roundtrip
-                // with exact f64 bit patterns — asserted by the golden
-                // suite), so any bit flip in the payload since the write
-                // lands here instead of in an experiment's numbers.
-                let reserialized = serde_json::to_string(&envelope.summary).ok()?;
-                let computed = summary_checksum(&reserialized);
-                if computed == envelope.checksum {
-                    Some(envelope.summary)
-                } else {
-                    self.quarantine(
-                        &path,
-                        &format!(
-                            "checksum mismatch (stored {}, computed {computed})",
-                            envelope.checksum
-                        ),
-                    );
-                    None
-                }
-            }
-            Ok(envelope) => {
-                // Stale schema or a renamed file: quarantine rather than
-                // leave a permanently-unusable entry shadowing the slot.
-                self.quarantine(
-                    &path,
-                    &format!(
-                        "envelope mismatch (schema {}, key {})",
-                        envelope.schema, envelope.key
-                    ),
-                );
-                None
-            }
-            Err(parse_err) => {
-                self.quarantine(&path, &parse_err.to_string());
+        match decode_entry(&bytes, key) {
+            Ok(loaded) => Some(loaded),
+            Err(why) => {
+                // Corrupt bytes, a stale schema or a renamed file:
+                // quarantine rather than serve it, or leave a
+                // permanently-unusable entry shadowing the slot.
+                self.quarantine(&path, &why);
                 None
             }
         }
@@ -455,25 +423,23 @@ impl SimCache {
     /// checkout must never fail the experiment itself — but dropped
     /// persist attempts are counted (and the CLI warns) instead of being
     /// silently discarded.
-    fn store_to_disk(&self, key: SimKey, summary: &RunSummary) {
-        let Some(path) = self.entry_path(key) else {
-            return;
-        };
-        // Serialize the summary once; the envelope is composed around it
-        // (rather than cloning the summary into a CacheEnvelope and
-        // walking it a second time) and the checksum covers exactly the
-        // bytes between `"summary":` and the closing brace.
-        let Ok(summary_json) = serde_json::to_string(summary) else {
+    ///
+    /// Returns the encoding it stored (even if the write then failed), so
+    /// the caller can journal the same bytes.
+    fn store_to_disk(&self, key: SimKey, summary: &RunSummary) -> Option<Encoded> {
+        let path = self.entry_path(key)?;
+        let Ok(encoded) = Encoded::of(summary) else {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
-            return;
+            return None;
         };
-        let json = compose_envelope(key, &summary_checksum(&summary_json), &summary_json);
         if let Some(parent) = path.parent() {
             let _ = self.vfs.create_dir_all(parent); // a failure surfaces in the write below
         }
+        let json = envelope::frame(key, &encoded);
         if write_atomic(self.vfs.as_ref(), &path, json.as_bytes()).is_err() {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
         }
+        Some(encoded)
     }
 
     /// Quarantines `key`'s cache envelope (and drops the in-process
@@ -514,6 +480,23 @@ impl SimCache {
     pub fn peek(&self, key: SimKey) -> Option<Arc<RunSummary>> {
         self.mem.lock().expect("cache lock").get(&key.0).cloned()
     }
+}
+
+/// Verifies the envelope `bytes` read from `key`'s slot and parses its
+/// summary: the framing and checksum ([`envelope::open`]), then the schema
+/// and key, then one JSON parse. The error says why the entry must be
+/// quarantined.
+fn decode_entry(bytes: &[u8], key: SimKey) -> Result<(RunSummary, Encoded), String> {
+    let framed = envelope::open(bytes).map_err(|reject| reject.to_string())?;
+    if framed.schema != SCHEMA_VERSION || framed.key != key {
+        return Err(format!(
+            "envelope mismatch (schema {}, key {})",
+            framed.schema,
+            framed.key.hex()
+        ));
+    }
+    let summary = serde_json::from_str(framed.summary_json).map_err(|e| e.to_string())?;
+    Ok((summary, framed.encoded()))
 }
 
 /// Removes a key from the in-flight set on scope exit — including an
@@ -651,26 +634,139 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A real simulated point: a multi-KB summary with every field kind.
+    fn real_summary() -> RunSummary {
+        crate::run::run_benchmark(
+            benchmark("lusearch").expect("exists"),
+            crate::run::RunConfig::at_ghz(2.0).scaled(0.02),
+        )
+        .summarize()
+    }
+
     #[test]
     fn composed_envelope_matches_the_derived_serializer() {
-        // `store_to_disk` composes the envelope text manually around the
-        // once-serialized summary; the loader parses it with the derived
-        // Deserialize. The two must agree byte-for-byte, or the checksum
-        // verified on load would not be the checksum computed at store.
-        let summary = dummy_summary(23);
-        let summary_json = serde_json::to_string(&summary).expect("serialize");
-        let checksum = summary_checksum(&summary_json);
-        let composed = compose_envelope(key_for(1), &checksum, &summary_json);
-        let parsed: CacheEnvelope = serde_json::from_str(&composed).expect("parses");
-        assert_eq!(parsed.schema, SCHEMA_VERSION);
-        assert_eq!(parsed.key, key_for(1).hex());
-        assert_eq!(parsed.checksum, checksum);
-        assert_eq!(parsed.summary, summary);
-        assert_eq!(
-            serde_json::to_string(&parsed).expect("re-serialize"),
-            composed,
-            "manual composition is byte-identical to the derived serializer"
+        // `frame` composes the envelope text around the once-serialized
+        // summary and `open` verifies it without the derived Deserialize.
+        // Both must agree byte for byte with the derived serde oracle, and
+        // re-encoding the summary `open` hands back must reproduce the
+        // stored bytes: the canonical round-trip the checksum relies on.
+        for summary in [dummy_summary(23), real_summary()] {
+            let encoded = Encoded::of(&summary).expect("serialize");
+            let framed = envelope::frame(key_for(1), &encoded);
+            let oracle: CacheEnvelope = serde_json::from_str(&framed).expect("parses");
+            assert_eq!(oracle.schema, SCHEMA_VERSION);
+            assert_eq!(oracle.key, key_for(1).hex());
+            assert_eq!(oracle.checksum, format!("{:016x}", encoded.checksum));
+            assert_eq!(oracle.summary, summary);
+            assert_eq!(
+                serde_json::to_string(&oracle).expect("re-serialize"),
+                framed,
+                "manual composition is byte-identical to the derived serializer"
+            );
+
+            let (decoded, reused) = decode_entry(framed.as_bytes(), key_for(1)).expect("verifies");
+            assert_eq!(decoded, oracle.summary, "same summary as the derived parse");
+            assert_eq!(
+                reused, encoded,
+                "the verified bytes are the stored encoding"
+            );
+            assert_eq!(
+                Encoded::of(&decoded).expect("re-encode"),
+                encoded,
+                "re-encoding the parsed summary reproduces the exact bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_an_envelope_is_rejected() {
+        let framed = envelope::frame(
+            key_for(2),
+            &Encoded::of(&dummy_summary(19)).expect("encode"),
+        )
+        .into_bytes();
+        assert!(decode_entry(&framed, key_for(2)).is_ok());
+        for bit in 0..framed.len() * 8 {
+            let mut bad = framed.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                decode_entry(&bad, key_for(2)).is_err(),
+                "flipping bit {bit} (byte {:?}) went undetected",
+                framed[bit / 8] as char
+            );
+        }
+    }
+
+    #[test]
+    fn reformatted_envelopes_are_quarantined_not_served() {
+        // A pretty-printed or field-reordered envelope carries the same
+        // values and the oracle parse accepts it, but it is not the stored
+        // bytes the checksum framing promises: it is quarantined and
+        // recomputed. Nothing in the repository writes such files.
+        let summary = dummy_summary(29);
+        let encoded = Encoded::of(&summary).expect("encode");
+        let oracle: CacheEnvelope =
+            serde_json::from_str(&envelope::frame(key_for(9), &encoded)).expect("parses");
+        let pretty = serde_json::to_string_pretty(&oracle).expect("pretty");
+        let reordered = format!(
+            "{{\"summary\":{},\"schema\":{SCHEMA_VERSION},\"key\":\"{}\",\"checksum\":\"{}\"}}",
+            encoded.json, oracle.key, oracle.checksum
         );
+        for (name, text) in [("pretty", pretty), ("reordered", reordered)] {
+            assert_eq!(
+                serde_json::from_str::<CacheEnvelope>(&text)
+                    .expect("oracle accepts")
+                    .summary,
+                summary
+            );
+            let dir =
+                std::env::temp_dir().join(format!("depburst-cache-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = SimCache::persistent(&dir);
+            let path = cache.entry_path(key_for(9)).expect("persistent");
+            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            std::fs::write(&path, &text).expect("plant");
+            let served = cache
+                .get_or_compute(key_for(9), || Ok(dummy_summary(31)))
+                .expect("recomputes");
+            assert_eq!(served.gc_count, 31, "{name}: served from recompute");
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.disk_hits, stats.quarantined, stats.misses),
+                (0, 1, 1),
+                "{name}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn fetch_hands_back_the_encoding_it_holds() {
+        let dir = std::env::temp_dir().join(format!("depburst-cache-fetch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let expected = Encoded::of(&dummy_summary(37)).expect("encode");
+        // A persisted miss hands back the encoding it stored ...
+        let writer = SimCache::persistent(&dir);
+        let (_, stored) = writer
+            .fetch(key_for(10), || Ok(dummy_summary(37)))
+            .expect("ok");
+        assert_eq!(stored.as_ref(), Some(&expected));
+        // ... a memory hit holds none ...
+        let (_, memo) = writer
+            .fetch(key_for(10), || panic!("memoized"))
+            .expect("ok");
+        assert_eq!(memo, None);
+        // ... a disk hit hands back the verified bytes ...
+        let reader = SimCache::persistent(&dir);
+        let (_, loaded) = reader.fetch(key_for(10), || panic!("on disk")).expect("ok");
+        assert_eq!(loaded.as_ref(), Some(&expected));
+        // ... and an in-memory cache never encodes.
+        let mem = SimCache::in_memory();
+        let (_, none) = mem
+            .fetch(key_for(10), || Ok(dummy_summary(37)))
+            .expect("ok");
+        assert_eq!(none, None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! Replay tolerates it — the fragment is skipped with a warning, the file
 //! is re-terminated with a newline so subsequent appends start clean, and
 //! the lost point simply re-simulates. The `checksum` field (FNV-1a over
-//! the record's serialized summary, shared framing with the disk cache)
-//! extends the same fail-closed posture to *silent* corruption: a record
-//! whose payload rotted since the write is skipped and counted, never
-//! replayed into an experiment's numbers.
+//! the record's stored summary bytes, the framing of
+//! [`crate::cache::envelope`] shared with the disk cache) extends the same
+//! fail-closed posture to *silent* corruption: a record whose bytes
+//! changed since the write is skipped and counted, never replayed into an
+//! experiment's numbers.
 //!
 //! All file I/O routes through a [`Vfs`] ([`RealVfs`] by default), so the
 //! storage-fault torture harness can subject the journal to torn
@@ -32,9 +33,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::cache::{compose_envelope, summary_checksum, SimKey, SCHEMA_VERSION};
+use crate::cache::envelope::{self, Encoded, Reject};
+use crate::cache::{SimKey, SCHEMA_VERSION};
 use crate::run::RunSummary;
 use crate::vfs::{RealVfs, Vfs};
 
@@ -43,10 +45,13 @@ use crate::vfs::{RealVfs, Vfs};
 /// sweep writing multi-megabyte trace summaries.
 pub const FLUSH_BATCH: usize = 4;
 
-/// One journal line. Shares [`SCHEMA_VERSION`] and the
-/// `{schema, key, checksum, summary}` framing with the disk cache: both
-/// persist the same `RunSummary` payload, so they go stale together.
-#[derive(Debug, Serialize, Deserialize)]
+/// The derived parse of one journal line: the verifier before
+/// [`envelope::open`], kept as the test oracle it is compared against.
+/// Journal lines share [`SCHEMA_VERSION`] and the framing with the disk
+/// cache: both persist the same `RunSummary` payload, so they go stale
+/// together.
+#[cfg(test)]
+#[derive(Debug, Serialize, serde::Deserialize)]
 struct JournalRecord {
     schema: u32,
     key: String,
@@ -220,75 +225,44 @@ impl Journal {
     }
 
     /// Tolerant line-by-line replay: skips (with a warning, and a count)
-    /// unparsable lines — expected for at most the final, torn one —
-    /// records from a different schema version, and records whose
-    /// checksum no longer matches their payload. Returns the surviving
-    /// records and how many lines were skipped.
+    /// lines that are not canonical records — expected for at most the
+    /// final, torn one — records from a different schema version, and
+    /// records whose checksum no longer matches their stored bytes.
+    /// Returns the surviving records and how many lines were skipped.
     fn replay_lines(path: &Path, bytes: &[u8]) -> (HashMap<u128, Arc<RunSummary>>, u64) {
-        let text = String::from_utf8_lossy(bytes);
         let mut seen = HashMap::new();
         let mut corrupt = 0u64;
-        let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
+        let lines: Vec<&[u8]> = bytes
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.trim_ascii().is_empty())
+            .collect();
         let last = lines.len().saturating_sub(1);
         for (i, line) in lines.iter().enumerate() {
-            match serde_json::from_str::<JournalRecord>(line) {
-                Ok(record) if record.schema == SCHEMA_VERSION => {
-                    let key = match u128::from_str_radix(&record.key, 16) {
-                        Ok(key) => key,
-                        Err(_) => {
-                            corrupt += 1;
-                            eprintln!(
-                                "warning: checkpoint journal {}: line {} has a malformed key; skipping",
-                                path.display(),
-                                i + 1
-                            );
-                            continue;
-                        }
-                    };
-                    // Same integrity argument as the cache: the shim
-                    // serializer is canonical, so re-serializing the
-                    // parsed summary reproduces the exact bytes the
-                    // store-time checksum covered.
-                    let verified = serde_json::to_string(&record.summary)
-                        .is_ok_and(|json| summary_checksum(&json) == record.checksum);
-                    if verified {
-                        seen.insert(key, Arc::new(record.summary));
-                    } else {
-                        corrupt += 1;
-                        eprintln!(
-                            "warning: checkpoint journal {}: line {} fails its checksum \
-                             (payload corrupted since the write); that point will re-simulate",
-                            path.display(),
-                            i + 1
-                        );
+            let skipped = match envelope::open(line) {
+                Ok(framed) if framed.schema != SCHEMA_VERSION => format!(
+                    "line {} has schema {} (want {SCHEMA_VERSION}); skipping",
+                    i + 1,
+                    framed.schema
+                ),
+                Ok(framed) => match serde_json::from_str::<RunSummary>(framed.summary_json) {
+                    Ok(summary) => {
+                        seen.insert(framed.key.0, Arc::new(summary));
+                        continue;
                     }
-                }
-                Ok(record) => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: line {} has schema {} (want {SCHEMA_VERSION}); skipping",
-                        path.display(),
-                        i + 1,
-                        record.schema
-                    );
-                }
-                Err(parse_err) if i == last => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: final line is truncated (torn write); \
-                         that point will re-simulate: {parse_err}",
-                        path.display()
-                    );
-                }
-                Err(parse_err) => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: skipping unparsable line {}: {parse_err}",
-                        path.display(),
-                        i + 1
-                    );
-                }
-            }
+                    Err(parse_err) => format!("skipping unparsable line {}: {parse_err}", i + 1),
+                },
+                Err(Reject::Checksum { .. }) => format!(
+                    "line {} fails its checksum (payload corrupted since the write); \
+                     that point will re-simulate",
+                    i + 1
+                ),
+                Err(reject) if i == last => format!(
+                    "final line is truncated (torn write); that point will re-simulate: {reject}"
+                ),
+                Err(reject) => format!("skipping unparsable line {}: {reject}", i + 1),
+            };
+            corrupt += 1;
+            eprintln!("warning: checkpoint journal {}: {skipped}", path.display());
         }
         (seen, corrupt)
     }
@@ -322,19 +296,23 @@ impl Journal {
     /// points. A failed append may have persisted a partial line, so a
     /// best-effort newline re-terminates the file — replay skips the
     /// fragment and subsequent appends start clean.
-    pub fn record(&self, key: SimKey, summary: &Arc<RunSummary>) {
+    ///
+    /// `encoded` is the summary's encoding when the caller already holds
+    /// one (see [`SimCache::fetch`](crate::cache::SimCache::fetch)); the
+    /// journal serializes the summary only when it is `None`.
+    pub(crate) fn record(&self, key: SimKey, summary: &Arc<RunSummary>, encoded: Option<Encoded>) {
         let mut state = self.state.lock().expect("journal lock");
         if state.seen.contains_key(&key.0) {
             return;
         }
-        let Ok(summary_json) = serde_json::to_string(&**summary) else {
+        let Ok(encoded) = encoded.map_or_else(|| Encoded::of(summary), Ok) else {
             eprintln!(
                 "warning: checkpoint journal: unserializable record for {}",
                 key.hex()
             );
             return;
         };
-        let mut line = compose_envelope(key, &summary_checksum(&summary_json), &summary_json);
+        let mut line = envelope::frame(key, &encoded);
         line.push('\n');
         if let Err(write_err) = self.vfs.append(&self.path, line.as_bytes()) {
             self.append_failures.fetch_add(1, Ordering::Relaxed);
@@ -453,10 +431,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create_at(&path).expect("create");
         for k in 1..=5u64 {
-            journal.record(SimKey(u128::from(k)), &summary(k));
+            journal.record(SimKey(u128::from(k)), &summary(k), None);
         }
         // Idempotent: re-recording an existing key appends nothing.
-        journal.record(SimKey(3), &summary(3));
+        journal.record(SimKey(3), &summary(3), None);
         assert_eq!(journal.appends(), 5);
         drop(journal); // flush
 
@@ -476,12 +454,45 @@ mod tests {
     }
 
     #[test]
+    fn lines_match_the_derived_oracle_and_reuse_handed_in_encodings() {
+        let fresh = tmp("oracle-fresh");
+        let reused = tmp("oracle-reused");
+        let journal = Journal::create_at(&fresh).expect("create");
+        journal.record(SimKey(5), &summary(5), None);
+        drop(journal);
+        let journal = Journal::create_at(&reused).expect("create");
+        let encoded = Encoded::of(&summary(5)).expect("encode");
+        journal.record(SimKey(5), &summary(5), Some(encoded));
+        drop(journal);
+        let text = std::fs::read_to_string(&fresh).expect("read");
+        assert_eq!(
+            std::fs::read_to_string(&reused).expect("read"),
+            text,
+            "a handed-in encoding writes the line a fresh one does"
+        );
+
+        let line = text.strip_suffix('\n').expect("one terminated line");
+        let oracle: JournalRecord = serde_json::from_str(line).expect("oracle parses");
+        assert_eq!(oracle.schema, SCHEMA_VERSION);
+        assert_eq!(oracle.key, SimKey(5).hex());
+        assert_eq!(serde_json::to_string(&oracle).expect("re-serialize"), line);
+        let resumed = Journal::resume_at(&fresh).expect("resume");
+        assert_eq!(
+            *resumed.lookup(SimKey(5)).expect("replayed"),
+            oracle.summary
+        );
+        drop(resumed);
+        let _ = std::fs::remove_file(&fresh);
+        let _ = std::fs::remove_file(&reused);
+    }
+
+    #[test]
     fn torn_final_line_is_skipped_and_healed() {
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
+        journal.record(SimKey(1), &summary(1), None);
+        journal.record(SimKey(2), &summary(2), None);
         journal.flush();
         drop(journal);
 
@@ -495,7 +506,7 @@ mod tests {
         assert_eq!(resumed.loaded(), 2, "intact records survive the tear");
         assert_eq!(resumed.stats().corrupt_lines, 1, "the fragment is counted");
         // Appending after the tear must start on a fresh line.
-        resumed.record(SimKey(3), &summary(3));
+        resumed.record(SimKey(3), &summary(3), None);
         drop(resumed);
 
         let healed = Journal::resume_at(&path).expect("resume again");
@@ -510,7 +521,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let journal = Journal::resume_at(&path).expect("fresh start");
         assert_eq!(journal.loaded(), 0);
-        journal.record(SimKey(7), &summary(7));
+        journal.record(SimKey(7), &summary(7), None);
         drop(journal);
         assert!(path.exists());
         let _ = std::fs::remove_file(&path);
@@ -521,7 +532,7 @@ mod tests {
         let path = tmp("schema");
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
+        journal.record(SimKey(1), &summary(1), None);
         drop(journal);
         let mut bytes = std::fs::read(&path).expect("read");
         let current = format!("\"schema\":{SCHEMA_VERSION}");
@@ -540,8 +551,8 @@ mod tests {
         let path = tmp("checksum");
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
+        journal.record(SimKey(1), &summary(1), None);
+        journal.record(SimKey(2), &summary(2), None);
         drop(journal);
         // Rot one digit inside the *first* record's payload: the line
         // still parses, but the checksum no longer covers its bytes.
@@ -566,7 +577,7 @@ mod tests {
         let path = tmp("fsync");
         let _ = std::fs::remove_file(&path);
         let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
+        journal.record(SimKey(1), &summary(1), None);
         // Yank the file out from under the journal: the explicit flush's
         // fsync cannot open it and must count the failure.
         std::fs::remove_file(&path).expect("yank");
@@ -603,8 +614,8 @@ mod tests {
             ..StorageFaultConfig::none(4)
         }));
         let journal = Journal::resume_at_with(&path, vfs).expect("resume through the injector");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
+        journal.record(SimKey(1), &summary(1), None);
+        journal.record(SimKey(2), &summary(2), None);
         let stats = journal.stats();
         assert_eq!(stats.append_failures, 2);
         assert_eq!(stats.appends, 0);

@@ -784,15 +784,18 @@ impl ExecCtx {
                 "{} @ {} seed {} scale {}",
                 point.bench.name, point.config.freq, point.config.seed, point.config.scale
             );
+            // `fetch` also hands back the summary's encoding when the cache
+            // holds one, so the journal frames those bytes instead of
+            // serializing the summary again.
             let out = if let Some(cfg) = sampling {
-                self.cache.get_or_compute(key, || {
+                self.cache.fetch(key, || {
                     if tracing {
                         eprintln!("  {}: miss, sampling", key.hex());
                     }
                     self.compute_sampled(point, cfg, bd, md, fault_d, key, &label, tracing)
                 })
             } else {
-                self.cache.get_or_compute(key, || {
+                self.cache.fetch(key, || {
                     if tracing {
                         eprintln!("  {}: miss, simulating", key.hex());
                     }
@@ -834,9 +837,9 @@ impl ExecCtx {
                 );
             }
             match out {
-                Ok(summary) => {
+                Ok((summary, encoded)) => {
                     if let Some(journal) = &self.journal {
-                        journal.record(journal_key, &summary);
+                        journal.record(journal_key, &summary, encoded);
                     }
                     Ok(summary)
                 }

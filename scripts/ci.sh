@@ -368,6 +368,40 @@ storage_identity() {
 }
 step "durability: fault-soaked sweep identity" storage_identity
 
+# Journaling reuses the summary bytes the cache already holds — the
+# encoding a miss just stored, or the verified bytes of a disk hit —
+# instead of serializing the summary again. A cold and a warm fig3 sweep
+# over one cache (--jobs 1, so journal lines land in plan order) must
+# write cmp-identical journals and print identical stdout; the warm run
+# must serve every point from disk with nothing quarantined; and
+# resuming the warm journal must print the same bytes again.
+journal_reuse() {
+    local dir="$SCRATCH/journal"
+    mkdir -p "$dir"
+    local run=(env DEPBURST_CACHE="$dir/cache" DEPBURST_CHECKPOINT_DIR="$dir/checkpoints"
+        "$ROOT/$DEPBURST" fig3 both "$SCALE" 1 --jobs 1)
+    (cd "$dir" && "${run[@]}" --run-id cold > cold.out 2> /dev/null)
+    (cd "$dir" && DEPBURST_TRACE_POINTS=1 "${run[@]}" --run-id warm > warm.out 2> warm.err)
+    (cd "$dir" && "${run[@]}" --resume warm > resume.out 2> /dev/null)
+    if grep -q ": miss\|quarantined" "$dir/warm.err" || [ -e "$dir/cache/quarantine" ]; then
+        echo "warm fig3 did not serve every point from the disk cache"
+        return 1
+    fi
+    cmp "$dir/checkpoints/cold.jsonl" "$dir/checkpoints/warm.jsonl" || {
+        echo "journal of the warm (disk-hit) run differs from the cold run's"
+        return 1
+    }
+    cmp "$dir/cold.out" "$dir/warm.out" || {
+        echo "warm fig3 stdout differs from the cold run's"
+        return 1
+    }
+    cmp "$dir/cold.out" "$dir/resume.out" || {
+        echo "fig3 resumed from the warm journal differs from the cold run's"
+        return 1
+    }
+}
+step "durability: journal reuses cached bytes" journal_reuse
+
 # Invariant gates: the simulator self-checks under the sanitizer-style
 # monitor, and the fuzzer both stays quiet on the honest simulator and
 # catches (and shrinks) a deliberately weakened invariant.
