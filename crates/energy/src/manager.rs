@@ -193,7 +193,7 @@ impl EnergyManager {
         let cores = machine.config().cores;
         // Invariant monitoring (see `simx::invariants`) only records into
         // the machine's monitor — it never alters a decision — so the
-        // DEPBURST_INVARIANTS=off path stays byte-identical.
+        // monitor-off path stays byte-identical.
         if machine.monitor().on(simx::Invariant::VfMonotonicity) {
             if let Some(issue) = self.config.power.vf().monotonicity_issue() {
                 let at = machine.now().as_secs();

@@ -9,13 +9,13 @@
 //!
 //! Results are memoized in-process always; optionally they also persist
 //! under `results/cache/v<N>/<hex-key>.json` as versioned JSON envelopes.
-//! Persistence is **off by default** (hermetic tests) and enabled by the
-//! `DEPBURST_CACHE` environment variable: `1` uses the default
-//! `results/cache` directory, any other non-empty value (except `0`) is
-//! used as the directory itself. A bump of [`SCHEMA_VERSION`] — required
-//! whenever the simulator's observable behaviour or the summary layout
-//! changes — retires every old entry by moving to a fresh subdirectory;
-//! envelopes whose schema or key do not match are ignored and recomputed.
+//! Persistence is **off by default** (hermetic tests) and enabled by
+//! [`SimCache::persistent`]; the `depburst` binary turns it on with the
+//! `DEPBURST_CACHE` setting (see [`crate::cli`]). A bump of
+//! [`SCHEMA_VERSION`] — required whenever the simulator's observable
+//! behaviour or the summary layout changes — retires every old entry by
+//! moving to a fresh subdirectory; envelopes whose schema or key do not
+//! match are ignored and recomputed.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -248,27 +248,6 @@ impl SimCache {
         cache
     }
 
-    /// Builds the cache the `DEPBURST_CACHE` environment variable asks
-    /// for: unset, empty, or `0` → in-memory only; `1` → persist under
-    /// `results/cache`; anything else → persist under that path.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DEPBURST_CACHE") {
-            Err(_) => Self::in_memory(),
-            Ok(v) => match v.trim() {
-                "" | "0" => Self::in_memory(),
-                "1" => Self::persistent("results/cache"),
-                path => Self::persistent(path),
-            },
-        }
-    }
-
-    /// Whether this cache persists entries to disk.
-    #[must_use]
-    pub fn is_persistent(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Routes this cache's persistence I/O through `vfs` (builder
     /// style). The default is [`RealVfs`]; the torture harness installs
     /// a `FaultyVfs` here.
@@ -276,13 +255,6 @@ impl SimCache {
     pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = vfs;
         self
-    }
-
-    /// Routes this cache's persistence I/O through `vfs` (in place; the
-    /// `--storage-faults` flag installs the injector on an already-built
-    /// context).
-    pub fn set_vfs(&mut self, vfs: Arc<dyn Vfs>) {
-        self.vfs = vfs;
     }
 
     /// The hit/miss counters so far.

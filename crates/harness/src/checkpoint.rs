@@ -2,8 +2,9 @@
 //!
 //! Every completed simulation point is appended as one JSON line —
 //! `{schema, key, checksum, summary}` — to
-//! `results/checkpoints/<run-id>.jsonl` (directory overridable via
-//! `DEPBURST_CHECKPOINT_DIR`), fsynced in batches of [`FLUSH_BATCH`]. A
+//! `results/checkpoints/<run-id>.jsonl` (the `depburst` binary's
+//! `DEPBURST_CHECKPOINT_DIR` setting moves the directory; see
+//! [`crate::cli`]), fsynced in batches of [`FLUSH_BATCH`]. A
 //! SIGINT'd or crashed sweep restarted with `--resume <run-id>` replays
 //! the journaled points instead of re-simulating them, and — because
 //! summaries roundtrip JSON with exact f64 bit patterns (asserted by the
@@ -106,16 +107,11 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// The checkpoint directory: `DEPBURST_CHECKPOINT_DIR` or
-    /// `results/checkpoints`.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        std::env::var_os("DEPBURST_CHECKPOINT_DIR")
-            .map_or_else(|| PathBuf::from("results/checkpoints"), PathBuf::from)
-    }
-
     /// Validates a user-supplied run id (it becomes a file name).
-    fn checked_id(run_id: &str) -> std::io::Result<&str> {
+    ///
+    /// # Errors
+    /// An empty, overlong, hidden, or path-like id is `InvalidInput`.
+    pub fn checked_id(run_id: &str) -> std::io::Result<&str> {
         let ok = !run_id.is_empty()
             && run_id.len() <= 128
             && run_id
@@ -132,35 +128,8 @@ impl Journal {
         }
     }
 
-    /// The journal path for `run_id` under the default directory.
-    pub fn path_for(run_id: &str) -> std::io::Result<PathBuf> {
-        Ok(Self::default_dir().join(format!("{}.jsonl", Self::checked_id(run_id)?)))
-    }
-
-    /// Starts a fresh journal for `run_id` (truncating any previous one —
-    /// a new `--run-id` means a new run).
-    pub fn create(run_id: &str) -> std::io::Result<Self> {
-        Self::create_with(run_id, Arc::new(RealVfs))
-    }
-
-    /// [`create`](Self::create) with an explicit storage layer.
-    pub fn create_with(run_id: &str, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        Self::create_at_with(Self::path_for(run_id)?, vfs)
-    }
-
-    /// Resumes the journal for `run_id`, replaying its completed points.
-    /// A missing journal is not an error — the run starts from nothing,
-    /// with a warning.
-    pub fn resume(run_id: &str) -> std::io::Result<Self> {
-        Self::resume_with(run_id, Arc::new(RealVfs))
-    }
-
-    /// [`resume`](Self::resume) with an explicit storage layer.
-    pub fn resume_with(run_id: &str, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        Self::resume_at_with(Self::path_for(run_id)?, vfs)
-    }
-
-    /// [`create`](Self::create) at an explicit path (tests).
+    /// Starts a fresh journal at `path` (truncating any previous one — a
+    /// new `--run-id` means a new run).
     pub fn create_at(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         Self::create_at_with(path, Arc::new(RealVfs))
     }
@@ -188,7 +157,9 @@ impl Journal {
         })
     }
 
-    /// [`resume`](Self::resume) at an explicit path (tests).
+    /// Resumes the journal at `path`, replaying its completed points. A
+    /// missing journal is not an error — the run starts from nothing,
+    /// with a warning.
     pub fn resume_at(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         Self::resume_at_with(path, Arc::new(RealVfs))
     }
@@ -629,10 +600,10 @@ mod tests {
 
     #[test]
     fn run_ids_are_validated() {
-        assert!(Journal::path_for("fig3-2026-08-06").is_ok());
-        assert!(Journal::path_for("").is_err());
-        assert!(Journal::path_for("../escape").is_err());
-        assert!(Journal::path_for(".hidden").is_err());
-        assert!(Journal::path_for("has space").is_err());
+        assert!(Journal::checked_id("fig3-2026-08-06").is_ok());
+        assert!(Journal::checked_id("").is_err());
+        assert!(Journal::checked_id("../escape").is_err());
+        assert!(Journal::checked_id(".hidden").is_err());
+        assert!(Journal::checked_id("has space").is_err());
     }
 }

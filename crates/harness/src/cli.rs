@@ -1,31 +1,34 @@
 //! Shared command-line plumbing for the `depburst` subcommands (see
-//! [`crate::commands`]).
+//! [`crate::commands`]), and the one place a run's settings come from.
 //!
-//! Every subcommand except `torture` accepts, anywhere after its name
-//! (both `--flag V` and `--flag=V` forms):
+//! Every setting is one row of [`SETTINGS`]: an optional flag, an
+//! optional environment variable, one parser, and a doc line.
+//! [`resolve`] starts from the defaults, applies the environment, then
+//! the flags, so a flag beats its variable. Both forms go through the
+//! row's parser, and a bad value from either is a usage error (exit 1)
+//! that names its source. Flags take both `--flag V` and `--flag=V`
+//! forms, anywhere after the subcommand name. No other module reads the
+//! process environment: [`main`] hands `std::env` to the resolver, and
+//! tests hand it a literal slice.
 //!
-//! * `--jobs N` — pool width (env `DEPBURST_JOBS`; default: available
-//!   parallelism). `--jobs 1` reproduces the historical sequential
-//!   harness exactly.
-//! * `--point-timeout SECS` — per-point wall-clock watchdog (env
-//!   `DEPBURST_POINT_TIMEOUT`; `0` disables).
-//! * `--retries N` — retry budget for failed points (env
-//!   `DEPBURST_RETRIES`; default 2).
-//! * `--run-id ID` — start a fresh checkpoint journal at
-//!   `results/checkpoints/<ID>.jsonl`.
-//! * `--resume ID` — resume that journal, replaying completed points;
-//!   output is byte-identical to an uninterrupted run.
-//! * `--invariants MODE` — runtime invariant monitor mode (`off`,
-//!   `cheap`, or `full`; env `DEPBURST_INVARIANTS`; default off). See
-//!   `simx::invariants`.
-//! * `--sampling SETTING` — sampled execution tier (`off`, `on`, or a
-//!   measure fraction in (probe, 1); env `DEPBURST_SAMPLING`; default
-//!   off). See `simx::sampling`.
-//! * `--storage-faults SPEC` — storage-fault injection on the cache and
-//!   checkpoint journal (`off`, an intensity in `[0, 1]`, `seed=N`,
-//!   `crash=N`, comma-separated; env `DEPBURST_STORAGE_FAULTS`; default
-//!   off — all durable I/O goes straight through the real filesystem).
-//!   See `harness::vfs`.
+//! | Flag | Env | Default | What it does |
+//! |---|---|---|---|
+//! | `--jobs N` | `DEPBURST_JOBS` | available parallelism | Pool width, a positive integer. `1` reproduces the historical sequential harness exactly. |
+//! | `--point-timeout SECS` | `DEPBURST_POINT_TIMEOUT` | `0` | Per-point wall-clock watchdog; `0` disables it. |
+//! | `--retries N` | `DEPBURST_RETRIES` | `2` | Retry budget for failed points. |
+//! | `--run-id ID` | — | none | Start a fresh checkpoint journal at `<checkpoint dir>/<ID>.jsonl`. |
+//! | `--resume ID` | — | none | Resume that journal, replaying completed points; the output is byte-identical to an uninterrupted run. Wins over `--run-id`. |
+//! | `--invariants MODE` | `DEPBURST_INVARIANTS` | `off` | Invariant monitor depth on every machine the run builds: `off`, `cheap` or `full`. See `simx::invariants`. |
+//! | `--sampling SETTING` | `DEPBURST_SAMPLING` | `off` | Sampled execution tier: `off`, `on`, or a measure fraction in (probe, 1). See `simx::sampling`. |
+//! | `--storage-faults SPEC` | `DEPBURST_STORAGE_FAULTS` | `off` | Storage-fault injection on the cache and the journal: `off`, an intensity in `[0, 1]`, `seed=N`, `crash=N`, comma-separated. See [`crate::vfs`]. |
+//! | — | `DEPBURST_CACHE` | memory only | Persist the simulation memo: `1` under `results/cache`, any other path under that directory, empty or `0` in memory only. |
+//! | — | `DEPBURST_CHECKPOINT_DIR` | `results/checkpoints` | Directory of the checkpoint journals. |
+//! | — | `DEPBURST_TRACE_POINTS` | `0` | `1` or `on` logs every point with its key and wall-clock to stderr; `0`, `off` or empty does not. |
+//! | — | `DEPBURST_BREAK_INVARIANT` | unset | Test only: deliberately weakens the named invariant on every machine and in the fleet round loop, so CI can prove the detector fires. |
+//!
+//! `torture` takes none of the flags (it builds its own contexts) but
+//! resolves the environment half of the table: the monitor and point
+//! tracing reach its passes, and a bad value exits 1 there too.
 //!
 //! An unknown `--flag` is a usage error: the diagnostic names the
 //! offending flag, suggests the nearest valid one when the typo is small,
@@ -37,57 +40,238 @@
 //! ultimately failed (a failure report was written to
 //! `results/<exp>_failures.json` and summarized on stderr). No panics.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use depburst_core::DepburstError;
+use simx::{Invariant, InvariantMode, SamplingConfig};
 
+use crate::cache::SimCache;
 use crate::checkpoint::Journal;
+use crate::resilience::RetryPolicy;
 use crate::run::ExecCtx;
+use crate::vfs::StorageFaultConfig;
 
 /// The boxed error a command body returns: `depburst_core`
 /// errors and I/O or serialization errors both flow through it.
 pub type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// The options shared by every command, split from its positional
-/// arguments.
-#[derive(Debug, Default)]
+/// The `DEPBURST_*` variables a run sees, as (name, value) pairs: the
+/// process environment in [`main`], a literal slice in tests.
+pub type Env<'a> = [(&'a str, &'a str)];
+
+/// A run's resolved settings, one field per [`SETTINGS`] row, plus the
+/// command's own arguments.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommonOpts {
-    /// `--jobs N`.
-    pub jobs: Option<usize>,
-    /// `--point-timeout SECS`: `Some(None)` = explicit `0` (disable),
-    /// `Some(Some(d))` = a budget, `None` = not given (use the env).
-    pub point_timeout: Option<Option<std::time::Duration>>,
-    /// `--retries N`.
-    pub retries: Option<u32>,
-    /// `--run-id ID`.
+    /// Pool width.
+    pub jobs: usize,
+    /// Per-point wall-clock budget (`None` = no watchdog).
+    pub point_timeout: Option<Duration>,
+    /// Retry budget for failed points.
+    pub retries: u32,
+    /// Start a fresh checkpoint journal under this id.
     pub run_id: Option<String>,
-    /// `--resume ID`.
+    /// Resume the checkpoint journal of this id.
     pub resume: Option<String>,
-    /// `--invariants MODE`.
-    pub invariants: Option<simx::InvariantMode>,
-    /// `--sampling SETTING`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = the sampled tier, `None` = not given (use the
-    /// env).
-    pub sampling: Option<Option<simx::SamplingConfig>>,
-    /// `--storage-faults SPEC`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = an injector, `None` = not given (use the env).
-    pub storage_faults: Option<Option<crate::vfs::StorageFaultConfig>>,
+    /// Invariant monitor depth.
+    pub invariants: InvariantMode,
+    /// The sampled tier (`None` = exact execution).
+    pub sampling: Option<SamplingConfig>,
+    /// Storage-fault injection (`None` = the real filesystem).
+    pub storage_faults: Option<StorageFaultConfig>,
+    /// Where the simulation memo persists (`None` = memory only).
+    pub cache: Option<PathBuf>,
+    /// Directory of the checkpoint journals.
+    pub checkpoint_dir: PathBuf,
+    /// Log every point to stderr.
+    pub trace_points: bool,
+    /// Test-only: the invariant deliberately weakened.
+    pub sabotage: Option<Invariant>,
     /// Remaining positional arguments (and pass-through command-specific
     /// flags), in order.
     pub rest: Vec<String>,
 }
 
-/// The flags every command understands, for the unknown-flag diagnostic.
-const COMMON_FLAGS: [&str; 8] = [
-    "--jobs",
-    "--point-timeout",
-    "--retries",
-    "--run-id",
-    "--resume",
-    "--invariants",
-    "--sampling",
-    "--storage-faults",
+impl Default for CommonOpts {
+    fn default() -> Self {
+        CommonOpts {
+            jobs: crate::pool::default_jobs(),
+            point_timeout: None,
+            retries: RetryPolicy::default().retries,
+            run_id: None,
+            resume: None,
+            invariants: InvariantMode::Off,
+            sampling: None,
+            storage_faults: None,
+            cache: None,
+            checkpoint_dir: PathBuf::from("results/checkpoints"),
+            trace_points: false,
+            sabotage: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+/// One run setting: where it can come from, how its value parses, and
+/// what it does.
+#[derive(Debug, Clone, Copy)]
+pub struct Setting {
+    /// The flag form, e.g. `--jobs`.
+    pub flag: Option<&'static str>,
+    /// The environment form, e.g. `DEPBURST_JOBS`.
+    pub env: Option<&'static str>,
+    /// One line for the usage listing.
+    pub doc: &'static str,
+    /// Parses a value into its [`CommonOpts`] field; the error says what
+    /// a good value looks like.
+    apply: fn(&mut CommonOpts, &str) -> Result<(), String>,
+}
+
+impl Setting {
+    /// Applies `value`, read from `source` (the flag or the variable).
+    fn set(&self, opts: &mut CommonOpts, source: &str, value: &str) -> Result<(), String> {
+        (self.apply)(opts, value.trim())
+            .map_err(|want| format!("invalid {source} value {value:?} ({want})"))
+    }
+}
+
+/// Every run setting. The module doc renders the same table.
+pub const SETTINGS: &[Setting] = &[
+    Setting {
+        flag: Some("--jobs"),
+        env: Some("DEPBURST_JOBS"),
+        doc: "N: pool width (default: available parallelism)",
+        apply: |o, v| {
+            o.jobs = v.parse().ok().filter(|n| *n >= 1).ok_or("want a positive integer")?;
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--point-timeout"),
+        env: Some("DEPBURST_POINT_TIMEOUT"),
+        doc: "SECS: per-point wall-clock watchdog (0 disables; default 0)",
+        apply: |o, v| {
+            let secs: f64 = v
+                .parse()
+                .ok()
+                .filter(|s: &f64| *s >= 0.0 && s.is_finite())
+                .ok_or("want seconds >= 0")?;
+            o.point_timeout = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--retries"),
+        env: Some("DEPBURST_RETRIES"),
+        doc: "N: retry budget for failed points (default 2)",
+        apply: |o, v| {
+            o.retries = v.parse().map_err(|_| "want a non-negative integer")?;
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--run-id"),
+        env: None,
+        doc: "ID: start a fresh checkpoint journal",
+        apply: |o, v| {
+            o.run_id = Some(Journal::checked_id(v).map_err(|e| e.to_string())?.to_owned());
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--resume"),
+        env: None,
+        doc: "ID: resume that checkpoint journal (wins over --run-id)",
+        apply: |o, v| {
+            o.resume = Some(Journal::checked_id(v).map_err(|e| e.to_string())?.to_owned());
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--invariants"),
+        env: Some("DEPBURST_INVARIANTS"),
+        doc: "MODE: invariant monitor depth, off, cheap or full (default off)",
+        apply: |o, v| {
+            o.invariants = InvariantMode::parse(v).ok_or("want off, cheap, or full")?;
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--sampling"),
+        env: Some("DEPBURST_SAMPLING"),
+        doc: "SETTING: sampled tier, off, on or a measure fraction (default off)",
+        apply: |o, v| {
+            o.sampling = crate::run::parse_sampling_setting(v)?;
+            Ok(())
+        },
+    },
+    Setting {
+        flag: Some("--storage-faults"),
+        env: Some("DEPBURST_STORAGE_FAULTS"),
+        doc: "SPEC: storage-fault injection, off or intensity[,seed=N][,crash=N] (default off)",
+        apply: |o, v| {
+            o.storage_faults = crate::vfs::parse_storage_faults(v)?;
+            Ok(())
+        },
+    },
+    Setting {
+        flag: None,
+        env: Some("DEPBURST_CACHE"),
+        doc: "persist the memo: 1 = results/cache, or a directory (default: memory only)",
+        apply: |o, v| {
+            o.cache = match v {
+                "" | "0" => None,
+                "1" => Some(PathBuf::from("results/cache")),
+                path => Some(PathBuf::from(path)),
+            };
+            Ok(())
+        },
+    },
+    Setting {
+        flag: None,
+        env: Some("DEPBURST_CHECKPOINT_DIR"),
+        doc: "directory of the checkpoint journals (default results/checkpoints)",
+        apply: |o, v| {
+            o.checkpoint_dir = Some(v).filter(|v| !v.is_empty()).ok_or("want a directory")?.into();
+            Ok(())
+        },
+    },
+    Setting {
+        flag: None,
+        env: Some("DEPBURST_TRACE_POINTS"),
+        doc: "1 = log every point with its key and wall-clock to stderr (default 0)",
+        apply: |o, v| {
+            o.trace_points = match v {
+                "" | "0" | "off" => false,
+                "1" | "on" => true,
+                _ => return Err("want 0, 1, off, or on".to_owned()),
+            };
+            Ok(())
+        },
+    },
+    Setting {
+        flag: None,
+        env: Some("DEPBURST_BREAK_INVARIANT"),
+        doc: "test only: deliberately weaken the named invariant (see simx::invariants)",
+        apply: |o, v| {
+            o.sabotage = Some(Invariant::from_name(v).ok_or("names no invariant")?);
+            Ok(())
+        },
+    },
 ];
+
+/// The usage lines of the shared settings, for the subcommand listing.
+#[must_use]
+pub fn settings_usage() -> String {
+    let mut s = String::from("settings (flag and/or environment; the flag wins):");
+    for row in SETTINGS {
+        let names: Vec<&str> = row.flag.into_iter().chain(row.env).collect();
+        s.push_str(&format!("\n  {:<42} {}", names.join(" | "), row.doc));
+    }
+    s
+}
 
 /// Removes one `--name V` / `--name=V` flag from `args` and returns its
 /// value (last occurrence wins), leaving the other arguments in order.
@@ -171,108 +355,49 @@ pub fn reject_sampling(ctx: &ExecCtx, detail: &str) -> Result<(), DepburstError>
     }
 }
 
-/// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
-/// it to an invariant name to deliberately weaken that check and prove
-/// the detector (and its reporting path) actually fires. Unset in every
-/// real run.
+/// Resolves a command's settings: the defaults, then every variable of
+/// `env` that names a [`SETTINGS`] row, then the flags in `args`. The
+/// command's positional arguments land in [`CommonOpts::rest`]. Every
+/// name in `extra_flags` (e.g. `"--panic-point"`) passes through to
+/// `rest` untouched — in both its `--flag V` and `--flag=V` forms — for
+/// the command to extract with [`take_flag`]. Any other `--`-prefixed
+/// token is rejected with a diagnostic that names the flag, suggests the
+/// nearest valid one, and lists them all. Variables outside the table
+/// are ignored.
 ///
 /// # Errors
-/// Returns a usage error when the value names no invariant.
-pub fn sabotage_from_env() -> Result<Option<simx::Invariant>, String> {
-    match std::env::var("DEPBURST_BREAK_INVARIANT") {
-        Err(_) => Ok(None),
-        Ok(name) => match simx::Invariant::from_name(name.trim()) {
-            Some(inv) => Ok(Some(inv)),
-            None => Err(format!(
-                "DEPBURST_BREAK_INVARIANT={name:?} names no invariant (see simx::invariants)"
-            )),
-        },
-    }
-}
-
-fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("invalid --jobs value {v:?} (want a positive integer)")),
-    }
-}
-
-fn parse_timeout(v: &str) -> Result<Option<std::time::Duration>, String> {
-    match v.parse::<f64>() {
-        Ok(0.0) => Ok(None),
-        Ok(secs) if secs > 0.0 && secs.is_finite() => {
-            Ok(Some(std::time::Duration::from_secs_f64(secs)))
-        }
-        _ => Err(format!(
-            "invalid --point-timeout value {v:?} (want seconds >= 0)"
-        )),
-    }
-}
-
-fn parse_retries(v: &str) -> Result<u32, String> {
-    v.parse::<u32>()
-        .map_err(|_| format!("invalid --retries value {v:?} (want a non-negative integer)"))
-}
-
-fn parse_invariants(v: &str) -> Result<simx::InvariantMode, String> {
-    simx::InvariantMode::parse(v).ok_or_else(|| {
-        format!("invalid --invariants value {v:?} (want off, cheap, or full)")
-    })
-}
-
-fn parse_sampling(v: &str) -> Result<Option<simx::SamplingConfig>, String> {
-    crate::run::parse_sampling_setting(v).map_err(|e| format!("invalid --sampling value: {e}"))
-}
-
-fn parse_storage(v: &str) -> Result<Option<crate::vfs::StorageFaultConfig>, String> {
-    crate::vfs::parse_storage_faults(v)
-        .map_err(|e| format!("invalid --storage-faults value: {e}"))
-}
-
-/// Splits the shared flags from `args`, leaving the command's positional
-/// arguments in [`CommonOpts::rest`]. Equivalent to
-/// [`parse_common_with`] with no command-specific flags: any unrecognized
-/// `--flag` is a usage error.
-pub fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
-    parse_common_with(args, &[])
-}
-
-/// [`parse_common`] for commands with their own flags: every name in
-/// `extra_flags` (e.g. `"--panic-point"`) passes through to
-/// [`CommonOpts::rest`] untouched — in both its `--flag V` and
-/// `--flag=V` forms — for the command to extract with [`take_flag`]. Any
-/// other `--`-prefixed token is rejected with a diagnostic that names
-/// the flag, suggests the nearest valid one, and lists them all.
-pub fn parse_common_with(args: &[String], extra_flags: &[&str]) -> Result<CommonOpts, String> {
+/// A usage error: an unknown flag, a flag without its value, or a bad
+/// value from either source, naming that source.
+pub fn resolve(
+    args: &[String],
+    extra_flags: &[&str],
+    env: &Env,
+) -> Result<CommonOpts, String> {
     let mut opts = CommonOpts::default();
+    for row in SETTINGS {
+        let Some(var) = row.env else { continue };
+        if let Some((_, value)) = env.iter().rev().find(|(name, _)| *name == var) {
+            row.set(&mut opts, var, value)?;
+        }
+    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let (flag, inline) = match a.split_once('=') {
             Some((flag, v)) if a.starts_with("--") => (flag, Some(v)),
             _ => (a.as_str(), None),
         };
-        if !COMMON_FLAGS.contains(&flag) {
+        let Some(row) = SETTINGS.iter().find(|row| row.flag == Some(flag)) else {
             if flag.starts_with("--") && !extra_flags.contains(&flag) {
                 return Err(unknown_flag_error(flag, extra_flags));
             }
             opts.rest.push(a.clone());
             continue;
-        }
-        let v = match inline {
-            Some(v) => v.to_owned(),
-            None => it.next().cloned().ok_or_else(|| format!("{flag} requires a value"))?,
         };
-        match flag {
-            "--jobs" => opts.jobs = Some(parse_jobs(&v)?),
-            "--point-timeout" => opts.point_timeout = Some(parse_timeout(&v)?),
-            "--retries" => opts.retries = Some(parse_retries(&v)?),
-            "--run-id" => opts.run_id = Some(v),
-            "--resume" => opts.resume = Some(v),
-            "--invariants" => opts.invariants = Some(parse_invariants(&v)?),
-            "--sampling" => opts.sampling = Some(parse_sampling(&v)?),
-            "--storage-faults" => opts.storage_faults = Some(parse_storage(&v)?),
-            _ => unreachable!("COMMON_FLAGS lists exactly the flags matched here"),
-        }
+        let value = match inline {
+            Some(v) => v,
+            None => it.next().ok_or_else(|| format!("{flag} requires a value"))?,
+        };
+        row.set(&mut opts, flag, value)?;
     }
     Ok(opts)
 }
@@ -281,7 +406,7 @@ pub fn parse_common_with(args: &[String], extra_flags: &[&str]) -> Result<Common
 /// nearest-valid-flag suggestion when one is within edit distance 2, and
 /// the full list of flags this command accepts.
 fn unknown_flag_error(flag: &str, extra_flags: &[&str]) -> String {
-    let mut known: Vec<&str> = COMMON_FLAGS.to_vec();
+    let mut known: Vec<&str> = SETTINGS.iter().filter_map(|row| row.flag).collect();
     known.extend_from_slice(extra_flags);
     known.sort_unstable();
     let suggestion = known
@@ -315,87 +440,94 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Builds the execution context `opts` asks for: environment defaults,
-/// overridden by the explicit flags, plus the checkpoint journal when a
-/// run id was given (`--resume` wins over `--run-id`).
+/// Builds the execution context `opts` describes, plus the checkpoint
+/// journal when a run id was given (`--resume` wins over `--run-id`).
+///
+/// # Errors
+/// An invalid run id is a usage error (`InvalidInput`).
 pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
-    if let Some(mode) = opts.invariants {
-        // Machines read DEPBURST_INVARIANTS at construction; exporting the
-        // flag's value here — before any pool worker builds one — makes
-        // the flag and the environment variable exactly equivalent.
-        std::env::set_var("DEPBURST_INVARIANTS", mode.as_str());
+    let mut ctx = ExecCtx::new(opts.jobs)
+        .with_policy(RetryPolicy {
+            retries: opts.retries,
+            ..RetryPolicy::default()
+        })
+        .with_timeout(opts.point_timeout)
+        .with_sampling(opts.sampling);
+    if let Some(dir) = &opts.cache {
+        ctx = ctx.with_cache(SimCache::persistent(dir));
     }
-    let mut ctx = ExecCtx::from_env(opts.jobs);
-    if let Some(timeout) = opts.point_timeout {
-        ctx.point_timeout = timeout;
+    // The injector goes in after the cache, which routes through it, and
+    // before the journal, which shares it.
+    if let Some(cfg) = opts.storage_faults {
+        ctx = ctx.with_storage_faults(cfg);
     }
-    if let Some(retries) = opts.retries {
-        ctx.policy.retries = retries;
-    }
-    if let Some(sampling) = opts.sampling {
-        ctx.sampling = sampling;
-    }
-    match opts.storage_faults {
-        // Explicit `--storage-faults off` clears an env-installed one.
-        Some(None) => ctx = ctx.without_storage(),
-        Some(Some(cfg)) => ctx = ctx.with_storage_faults(cfg),
-        None => {}
-    }
-    // Build the journal *after* storage so it shares the injector. An
-    // invalid run id is a usage error, but a journal that cannot be
-    // created or read is a *degraded* run, not a dead one: checkpointing
-    // is best-effort (mirroring how append/fsync failures are counted,
-    // never fatal), so the sweep proceeds non-resumable with a loud
-    // warning instead of dying before it starts.
-    let journal = match (&opts.resume, &opts.run_id) {
-        (Some(id), _) => {
-            Journal::path_for(id)?;
-            match Journal::resume_with(id, ctx.storage_vfs()) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot resume checkpoint journal {id}: {e}; \
-                         continuing without checkpointing"
-                    );
-                    None
-                }
-            }
-        }
-        (None, Some(id)) => {
-            Journal::path_for(id)?;
-            match Journal::create_with(id, ctx.storage_vfs()) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot create checkpoint journal {id}: {e}; \
-                         this run will not be resumable"
-                    );
-                    None
-                }
-            }
-        }
-        (None, None) => None,
+    ctx.invariants = opts.invariants;
+    ctx.sabotage = opts.sabotage;
+    ctx.trace_points = opts.trace_points;
+    let (id, resume) = match (&opts.resume, &opts.run_id) {
+        (Some(id), _) => (id, true),
+        (None, Some(id)) => (id, false),
+        (None, None) => return Ok(ctx),
     };
-    if let Some(journal) = journal {
-        ctx = ctx.with_journal(journal);
+    let path = opts
+        .checkpoint_dir
+        .join(format!("{}.jsonl", Journal::checked_id(id)?));
+    // A journal that cannot be created or read is a *degraded* run, not
+    // a dead one: checkpointing is best-effort (mirroring how
+    // append/fsync failures are counted, never fatal), so the sweep
+    // proceeds non-resumable with a loud warning instead of dying before
+    // it starts.
+    let journal = if resume {
+        Journal::resume_at_with(&path, ctx.storage_vfs())
+    } else {
+        Journal::create_at_with(&path, ctx.storage_vfs())
+    };
+    match journal {
+        Ok(journal) => ctx = ctx.with_journal(journal),
+        Err(e) if resume => eprintln!(
+            "warning: cannot resume checkpoint journal {id}: {e}; \
+             continuing without checkpointing"
+        ),
+        Err(e) => eprintln!(
+            "warning: cannot create checkpoint journal {id}: {e}; \
+             this run will not be resumable"
+        ),
     }
     Ok(ctx)
 }
 
-/// Parses the shared flags out of `argv` (a command's arguments, after
-/// its name), builds the execution context, runs `body` on the remaining
-/// arguments, then writes/clears the experiment's failure report and
-/// translates the outcome into the standardized exit codes (0 ok, 1
-/// usage/internal error, 2 point failures). `extra_flags` are the
-/// command's own flags (see [`parse_common_with`]): they pass through to
+/// The `depburst` binary: hands the arguments after the program name and
+/// the process's `DEPBURST_*` variables to [`crate::commands::main`].
+/// The one place the program reads its environment.
+#[must_use]
+pub fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let vars: Vec<(String, String)> = std::env::vars_os()
+        .filter_map(|(name, value)| {
+            let name = name.into_string().ok()?;
+            name.starts_with("DEPBURST_")
+                .then(|| (name, value.to_string_lossy().into_owned()))
+        })
+        .collect();
+    let env: Vec<(&str, &str)> = vars.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+    crate::commands::main(&argv, &env)
+}
+
+/// Resolves the shared settings from `argv` (a command's arguments,
+/// after its name) and `env`, builds the execution context, runs `body`
+/// on the remaining arguments, then writes/clears the experiment's
+/// failure report and translates the outcome into the standardized exit
+/// codes (0 ok, 1 usage/internal error, 2 point failures). `extra_flags`
+/// are the command's own flags (see [`resolve`]): they pass through to
 /// the body's arguments and join the unknown-flag diagnostic's valid list.
 pub fn main_with_flags(
     experiment: &str,
     extra_flags: &[&str],
     argv: &[String],
+    env: &Env,
     body: impl FnOnce(&ExecCtx, &[String]) -> CliResult,
 ) -> ExitCode {
-    let opts = match parse_common_with(argv, extra_flags) {
+    let opts = match resolve(argv, extra_flags, env) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("error: {e}");
@@ -503,9 +635,95 @@ mod tests {
         v.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// [`resolve`] on flags alone, with an empty environment.
+    fn flags(v: &[&str]) -> Result<CommonOpts, String> {
+        resolve(&strs(v), &[], &[])
+    }
+
+    /// [`resolve`] on an environment alone.
+    fn vars(env: &Env) -> Result<CommonOpts, String> {
+        resolve(&[], &[], env)
+    }
+
+    /// Two good values that resolve differently, and a bad one (`None`
+    /// where the parser accepts anything), for each row of the table.
+    fn samples(row: &Setting) -> (&'static str, &'static str, Option<&'static str>) {
+        match row.flag.or(row.env).expect("a row has a flag or a variable") {
+            "--jobs" => ("3", "5", Some("0")),
+            "--point-timeout" => ("1.5", "0", Some("-1")),
+            "--retries" => ("0", "7", Some("-1")),
+            "--run-id" | "--resume" => ("nightly", "weekly", Some("../escape")),
+            "--invariants" => ("cheap", "full", Some("bogus")),
+            "--sampling" => ("0.5", "on", Some("2")),
+            "--storage-faults" => ("0.2,seed=7", "crash=12", Some("2.0")),
+            "DEPBURST_CACHE" => ("1", "/tmp/depburst-cache", None),
+            "DEPBURST_CHECKPOINT_DIR" => ("ckpt", "elsewhere", Some("")),
+            "DEPBURST_TRACE_POINTS" => ("1", "0", Some("yes")),
+            "DEPBURST_BREAK_INVARIANT" => ("counter-conservation", "thermal-ceiling", Some("nope")),
+            other => panic!("no samples for setting {other}; add them here"),
+        }
+    }
+
     #[test]
-    fn parse_common_strips_all_shared_flags() {
-        let opts = parse_common(&strs(&[
+    fn every_setting_resolves_the_same_from_its_flag_and_its_variable() {
+        let defaults = vars(&[]).unwrap();
+        for row in SETTINGS {
+            let (good, alt, bad) = samples(row);
+            let name = row.flag.or(row.env).unwrap();
+            let resolve_one = |value| match (row.flag, row.env) {
+                (Some(flag), _) => flags(&[flag, value]),
+                (None, Some(env)) => vars(&[(env, value)]),
+                (None, None) => unreachable!(),
+            };
+            let resolved = resolve_one(good).unwrap();
+            assert_ne!(resolved, defaults, "{name}={good} must change a setting");
+            assert_ne!(resolved, resolve_one(alt).unwrap(), "{name}: the samples must differ");
+            if let (Some(flag), Some(env)) = (row.flag, row.env) {
+                assert_eq!(vars(&[(env, good)]).unwrap(), resolved, "{flag} and {env} disagree");
+                // The flag beats the variable.
+                let both = resolve(&strs(&[flag, good]), &[], &[(env, alt)]).unwrap();
+                assert_eq!(both, resolved, "{flag} must beat {env}");
+            }
+            let Some(bad) = bad else { continue };
+            if let Some(flag) = row.flag {
+                let err = flags(&[flag, bad]).expect_err(flag);
+                assert!(err.contains(flag), "{flag}={bad:?}: {err}");
+            }
+            if let Some(env) = row.env {
+                let err = vars(&[(env, bad)]).expect_err(env);
+                assert!(err.contains(env), "{env}={bad:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_environment_values_are_usage_errors() {
+        // Each of these used to be clamped, ignored, or only warned about.
+        for (var, value) in [
+            ("DEPBURST_JOBS", "0"),
+            ("DEPBURST_INVARIANTS", "bogus"),
+            ("DEPBURST_POINT_TIMEOUT", "-1"),
+            ("DEPBURST_RETRIES", "many"),
+            ("DEPBURST_SAMPLING", "2"),
+            ("DEPBURST_STORAGE_FAULTS", "2.0"),
+            ("DEPBURST_BREAK_INVARIANT", "no-such-check"),
+        ] {
+            let err = vars(&[(var, value)]).expect_err(var);
+            assert!(err.starts_with(&format!("invalid {var} value")), "got: {err}");
+        }
+        // `DEPBURST_TRACE_POINTS=0` means off, not "set, so on".
+        assert!(!vars(&[("DEPBURST_TRACE_POINTS", "0")]).unwrap().trace_points);
+        assert!(vars(&[("DEPBURST_TRACE_POINTS", "1")]).unwrap().trace_points);
+        // Variables outside the table are not settings.
+        assert_eq!(
+            vars(&[("DEPBURST_BENCH_REGRESSION_PCT", "10"), ("HOME", "/")]).unwrap(),
+            vars(&[]).unwrap()
+        );
+    }
+
+    #[test]
+    fn resolve_strips_all_shared_flags() {
+        let opts = flags(&[
             "0.1",
             "--jobs",
             "4",
@@ -515,33 +733,30 @@ mod tests {
             "--run-id",
             "nightly",
             "7",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(opts.jobs, Some(4));
-        assert_eq!(
-            opts.point_timeout,
-            Some(Some(std::time::Duration::from_secs_f64(2.5)))
-        );
-        assert_eq!(opts.retries, Some(1));
+        assert_eq!(opts.jobs, 4);
+        assert_eq!(opts.point_timeout, Some(Duration::from_secs_f64(2.5)));
+        assert_eq!(opts.retries, 1);
         assert_eq!(opts.run_id.as_deref(), Some("nightly"));
         assert_eq!(opts.resume, None);
         assert_eq!(opts.rest, strs(&["0.1", "7"]), "positional order survives");
     }
 
     #[test]
-    fn parse_common_timeout_zero_disables() {
-        let opts = parse_common(&strs(&["--point-timeout", "0"])).unwrap();
-        assert_eq!(opts.point_timeout, Some(None));
-        assert!(parse_common(&strs(&["--point-timeout", "-1"])).is_err());
-        assert!(parse_common(&strs(&["--retries", "-1"])).is_err());
-        assert!(parse_common(&strs(&["--resume"])).is_err());
+    fn resolve_timeout_zero_disables() {
+        let opts = flags(&["--point-timeout", "0"]).unwrap();
+        assert_eq!(opts.point_timeout, None);
+        assert!(flags(&["--point-timeout", "-1"]).is_err());
+        assert!(flags(&["--retries", "-1"]).is_err());
+        assert!(flags(&["--resume"]).is_err());
     }
 
     #[test]
-    fn parse_common_rejects_bad_jobs() {
-        assert!(parse_common(&strs(&["--jobs"])).is_err());
-        assert!(parse_common(&strs(&["--jobs", "zero"])).is_err());
-        assert!(parse_common(&strs(&["--jobs=0"])).is_err());
+    fn resolve_rejects_bad_jobs() {
+        assert!(flags(&["--jobs"]).is_err());
+        assert!(flags(&["--jobs", "zero"]).is_err());
+        assert!(flags(&["--jobs=0"]).is_err());
     }
 
     #[test]
@@ -583,89 +798,93 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_diagnosed_with_suggestion_and_list() {
-        let err = parse_common(&strs(&["--job", "4"])).expect_err("unknown flag");
+        let err = flags(&["--job", "4"]).expect_err("unknown flag");
         assert!(err.contains("unknown flag --job"), "got: {err}");
         assert!(err.contains("did you mean --jobs?"), "got: {err}");
-        for flag in COMMON_FLAGS {
+        for flag in SETTINGS.iter().filter_map(|row| row.flag) {
             assert!(err.contains(flag), "valid list must include {flag}: {err}");
         }
         // The `=`-form reports the bare flag name.
-        let err = parse_common(&strs(&["--restries=1"])).expect_err("typo");
+        let err = flags(&["--restries=1"]).expect_err("typo");
         assert!(err.contains("unknown flag --restries"), "got: {err}");
         assert!(err.contains("did you mean --retries?"), "got: {err}");
         // A flag nothing resembles gets the list but no suggestion.
-        let err = parse_common(&strs(&["--frobnicate"])).expect_err("unknown");
+        let err = flags(&["--frobnicate"]).expect_err("unknown");
         assert!(!err.contains("did you mean"), "got: {err}");
         assert!(err.contains("valid flags:"), "got: {err}");
     }
 
     #[test]
     fn extra_flags_pass_through_and_join_the_diagnostic() {
-        let opts = parse_common_with(
+        let opts = resolve(
             &strs(&["--panic-point", "0.5", "--jobs=2", "x"]),
             &["--panic-point"],
+            &[],
         )
         .unwrap();
-        assert_eq!(opts.jobs, Some(2));
+        assert_eq!(opts.jobs, 2);
         assert_eq!(opts.rest, strs(&["--panic-point", "0.5", "x"]));
-        let opts =
-            parse_common_with(&strs(&["--panic-point=1.0"]), &["--panic-point"]).unwrap();
+        let opts = resolve(&strs(&["--panic-point=1.0"]), &["--panic-point"], &[]).unwrap();
         assert_eq!(opts.rest, strs(&["--panic-point=1.0"]));
         // A typo of the command-specific flag is suggested too.
-        let err = parse_common_with(&strs(&["--panic-pont=1.0"]), &["--panic-point"])
+        let err = resolve(&strs(&["--panic-pont=1.0"]), &["--panic-point"], &[])
             .expect_err("typo");
         assert!(err.contains("did you mean --panic-point?"), "got: {err}");
         // Without the pass-through declaration it is unknown.
-        assert!(parse_common(&strs(&["--panic-point=1.0"])).is_err());
+        assert!(flags(&["--panic-point=1.0"]).is_err());
     }
 
     #[test]
     fn invariants_flag_parses_all_modes() {
-        let opts = parse_common(&strs(&["--invariants", "full"])).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Full));
-        let opts = parse_common(&strs(&["--invariants=cheap"])).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Cheap));
-        let opts = parse_common(&strs(&["--invariants=off"])).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Off));
-        assert!(parse_common(&strs(&["--invariants", "loud"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().invariants, None);
+        let opts = flags(&["--invariants", "full"]).unwrap();
+        assert_eq!(opts.invariants, InvariantMode::Full);
+        let opts = flags(&["--invariants=cheap"]).unwrap();
+        assert_eq!(opts.invariants, InvariantMode::Cheap);
+        let opts = flags(&["--invariants=off"]).unwrap();
+        assert_eq!(opts.invariants, InvariantMode::Off);
+        assert!(flags(&["--invariants", "loud"]).is_err());
+        assert_eq!(flags(&[]).unwrap().invariants, InvariantMode::Off);
     }
 
     #[test]
     fn sampling_flag_parses_all_settings() {
-        let opts = parse_common(&strs(&["--sampling", "on"])).unwrap();
-        assert_eq!(opts.sampling, Some(Some(simx::SamplingConfig::default())));
-        let opts = parse_common(&strs(&["--sampling=off"])).unwrap();
-        assert_eq!(opts.sampling, Some(None));
-        let opts = parse_common(&strs(&["--sampling=0.5"])).unwrap();
-        let cfg = opts.sampling.flatten().expect("fraction enables sampling");
+        let opts = flags(&["--sampling", "on"]).unwrap();
+        assert_eq!(opts.sampling, Some(SamplingConfig::default()));
+        let opts = flags(&["--sampling=off"]).unwrap();
+        assert_eq!(opts.sampling, None);
+        let opts = flags(&["--sampling=0.5"]).unwrap();
+        let cfg = opts.sampling.expect("fraction enables sampling");
         assert_eq!(cfg.measure_fraction, 0.5);
-        assert_eq!(
-            cfg.probe_fraction,
-            simx::SamplingConfig::default().probe_fraction
-        );
+        assert_eq!(cfg.probe_fraction, SamplingConfig::default().probe_fraction);
         // Fractions outside (probe, 1) and junk are usage errors.
-        assert!(parse_common(&strs(&["--sampling", "1.5"])).is_err());
-        assert!(parse_common(&strs(&["--sampling", "0.01"])).is_err());
-        assert!(parse_common(&strs(&["--sampling", "sometimes"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().sampling, None);
+        assert!(flags(&["--sampling", "1.5"]).is_err());
+        assert!(flags(&["--sampling", "0.01"]).is_err());
+        assert!(flags(&["--sampling", "sometimes"]).is_err());
+        assert_eq!(flags(&[]).unwrap().sampling, None);
     }
 
     #[test]
     fn storage_faults_flag_parses_specs() {
-        let opts = parse_common(&strs(&["--storage-faults", "off"])).unwrap();
-        assert_eq!(opts.storage_faults, Some(None));
-        let opts = parse_common(&strs(&["--storage-faults=0.2,seed=7"])).unwrap();
-        let cfg = opts.storage_faults.flatten().expect("injector on");
+        let opts = flags(&["--storage-faults", "off"]).unwrap();
+        assert_eq!(opts.storage_faults, None);
+        let opts = flags(&["--storage-faults=0.2,seed=7"]).unwrap();
+        let cfg = opts.storage_faults.expect("injector on");
         assert_eq!(cfg.seed, 7);
         assert!(cfg.torn_write > 0.0);
-        let opts = parse_common(&strs(&["--storage-faults=crash=12"])).unwrap();
+        let opts = flags(&["--storage-faults=crash=12"]).unwrap();
         assert_eq!(
-            opts.storage_faults.flatten().expect("crash mode").crash_after,
+            opts.storage_faults.expect("crash mode").crash_after,
             Some(12)
         );
-        assert!(parse_common(&strs(&["--storage-faults", "2.0"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().storage_faults, None);
+        assert!(flags(&["--storage-faults", "2.0"]).is_err());
+        // An explicit `off` flag clears an injector the environment asked for.
+        let opts = resolve(
+            &strs(&["--storage-faults", "off"]),
+            &[],
+            &[("DEPBURST_STORAGE_FAULTS", "0.4")],
+        )
+        .unwrap();
+        assert_eq!(opts.storage_faults, None);
     }
 
     #[test]
@@ -678,19 +897,27 @@ mod tests {
     }
 
     #[test]
-    fn build_ctx_applies_overrides() {
-        let opts = parse_common(&strs(&["--jobs=3", "--retries=0", "--point-timeout=1.5"]))
-            .unwrap();
+    fn build_ctx_applies_the_resolved_settings() {
+        let opts = resolve(
+            &strs(&["--jobs=3", "--retries=0", "--point-timeout=1.5"]),
+            &[],
+            &[("DEPBURST_INVARIANTS", "full"), ("DEPBURST_BREAK_INVARIANT", "cache-sanity")],
+        )
+        .unwrap();
         let ctx = build_ctx(&opts).expect("no journal requested");
         assert_eq!(ctx.jobs, 3);
         assert_eq!(ctx.policy.retries, 0);
-        assert_eq!(
-            ctx.point_timeout,
-            Some(std::time::Duration::from_secs_f64(1.5))
-        );
+        assert_eq!(ctx.point_timeout, Some(Duration::from_secs_f64(1.5)));
+        assert_eq!(ctx.invariants, InvariantMode::Full);
+        assert_eq!(ctx.sabotage, Some(Invariant::CacheSanity));
+        assert!(!ctx.trace_points);
         assert!(ctx.journal().is_none());
-        // A bad run id is a usage error, not a panic.
-        let bad = parse_common(&strs(&["--run-id", "../escape"])).unwrap();
+        // A bad run id is a usage error, not a panic, on either path.
+        assert!(flags(&["--run-id", "../escape"]).is_err());
+        let bad = CommonOpts {
+            run_id: Some("../escape".to_owned()),
+            ..CommonOpts::default()
+        };
         assert!(build_ctx(&bad).is_err());
     }
 
@@ -700,23 +927,14 @@ mod tests {
         // never be created: the context must still build — checkpointing
         // is best-effort — just without a journal. The id is still
         // validated strictly even on that path.
-        let opts = parse_common(&strs(&[
-            "--run-id",
-            "cli-degraded",
-            "--storage-faults",
-            "crash=0",
-        ]))
-        .unwrap();
+        let opts = flags(&["--run-id", "cli-degraded", "--storage-faults", "crash=0"]).unwrap();
         let ctx = build_ctx(&opts).expect("degraded, not dead");
         assert!(ctx.journal().is_none());
         assert!(ctx.storage().expect("injector installed").crashed());
-        let bad = parse_common(&strs(&[
-            "--run-id",
-            "../escape",
-            "--storage-faults",
-            "crash=0",
-        ]))
-        .unwrap();
+        let bad = CommonOpts {
+            run_id: Some("../escape".to_owned()),
+            ..opts
+        };
         assert!(build_ctx(&bad).is_err(), "id validation must stay hard");
     }
 }

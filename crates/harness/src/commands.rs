@@ -8,9 +8,10 @@
 //! the failure report (`results/<report>_failures.json`) and the exit
 //! codes (0 ok, 1 usage or internal error, 2 point failures) are the
 //! same for every command. `torture` alone parses its own arguments: it
-//! builds a fresh execution context per crash point. An unknown or
-//! missing subcommand is a usage error (exit 1) that lists every
-//! subcommand.
+//! builds a fresh execution context per crash point, and resolves only
+//! the environment half of the settings table. An unknown or missing
+//! subcommand is a usage error (exit 1) that lists every subcommand and
+//! the shared settings.
 //!
 //! Positional arguments are forgiving: one that is absent or does not
 //! parse falls back to the command's default.
@@ -49,9 +50,9 @@ pub enum Body {
     /// On the execution context the shared flags describe, through
     /// [`cli::main_with_flags`].
     Sweep(fn(&ExecCtx, &[String]) -> CliResult),
-    /// On the raw arguments; the body builds its own contexts and picks
-    /// its own exit code.
-    Standalone(fn(&[String]) -> ExitResult),
+    /// On the raw arguments and environment; the body builds its own
+    /// contexts and picks its own exit code.
+    Standalone(fn(&[String], &cli::Env) -> ExitResult),
 }
 
 /// One `depburst` subcommand.
@@ -164,9 +165,10 @@ pub const COMMANDS: &[Command] = &[
     lab("manage", "<bench> <slowdown%> [scale]", cmd_manage),
 ];
 
-/// Runs `depburst` on `argv` (the arguments after the program name):
-/// the first names the subcommand, the rest are its arguments.
-pub fn main(argv: &[String]) -> ExitCode {
+/// Runs `depburst` on `argv` (the arguments after the program name) and
+/// `env` (the `DEPBURST_*` variables, see [`cli::SETTINGS`]): the first
+/// argument names the subcommand, the rest are its arguments.
+pub fn main(argv: &[String], env: &cli::Env) -> ExitCode {
     let (cmd, args) = match lookup(argv) {
         Ok(found) => found,
         Err(e) => {
@@ -175,8 +177,8 @@ pub fn main(argv: &[String]) -> ExitCode {
         }
     };
     match cmd.body {
-        Body::Sweep(body) => cli::main_with_flags(cmd.report, cmd.flags, args, body),
-        Body::Standalone(body) => body(args).unwrap_or_else(|e| {
+        Body::Sweep(body) => cli::main_with_flags(cmd.report, cmd.flags, args, env, body),
+        Body::Standalone(body) => body(args, env).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }),
@@ -203,6 +205,8 @@ fn usage(problem: &str) -> String {
         }
         s.push_str(line.trim_end());
     }
+    s.push('\n');
+    s.push_str(&cli::settings_usage());
     s
 }
 
@@ -476,7 +480,7 @@ fn cmd_fleet(ctx: &ExecCtx, args: &[String]) -> CliResult {
     if let Some(regions) = regions {
         config.regions = regions;
     }
-    config.sabotage = cli::sabotage_from_env()?;
+    config.sabotage = ctx.sabotage;
     if let Some(name) = policy {
         config.policy = energyx::GovernorPolicy::from_name(&name).ok_or_else(|| {
             format!("unknown --policy {name:?} (want oracle, depburst or naive)")
@@ -566,8 +570,9 @@ fn cmd_thermal(ctx: &ExecCtx, args: &[String]) -> CliResult {
 /// against the fleet invariants. Campaigns are byte-for-byte
 /// reproducible. Violations are point failures
 /// (`results/fuzz_failures.json`, exit 2) carrying the shrunk
-/// reproducer's JSON. The test-only `DEPBURST_BREAK_INVARIANT` hook
-/// weakens one check so it fires on healthy data.
+/// reproducer's JSON. The test-only sabotage hook
+/// (`DEPBURST_BREAK_INVARIANT`) weakens one check so it fires on healthy
+/// data.
 fn cmd_fuzz(ctx: &ExecCtx, args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let cases: u64 = cli::take_value(&mut args, "--seeds")?.unwrap_or(25);
@@ -581,7 +586,7 @@ fn cmd_fuzz(ctx: &ExecCtx, args: &[String]) -> CliResult {
     if !rest.is_empty() {
         return Err(format!("unexpected arguments: {rest:?}").into());
     }
-    let sabotage = cli::sabotage_from_env()?;
+    let sabotage = ctx.sabotage;
 
     println!(
         "fuzz campaign: seed {campaign_seed}, {cases} case(s), shrink={shrink}, tier={}",
@@ -657,12 +662,17 @@ fn cmd_fuzz(ctx: &ExecCtx, args: &[String]) -> CliResult {
 /// persisted envelope and demand quarantine; soak cache and journal in
 /// every probabilistic fault class at once. Takes no shared flags: it
 /// builds a fresh execution context per crash point, pinned to one
-/// worker so the fault schedule is deterministic. Exits 2 on a contract
-/// breach — a silent corruption, a served bit flip, or a diverged soak
-/// pass.
-fn cmd_torture(args: &[String]) -> ExitResult {
+/// worker so the fault schedule is deterministic. Of the environment it
+/// takes the monitor and point tracing. Exits 2 on a contract breach — a
+/// silent corruption, a served bit flip, or a diverged soak pass.
+fn cmd_torture(args: &[String], env: &cli::Env) -> ExitResult {
+    let settings = cli::resolve(&[], &[], env)?;
     let mut args = args.to_vec();
-    let mut cfg = TortureConfig::default();
+    let mut cfg = TortureConfig {
+        invariants: settings.invariants,
+        trace_points: settings.trace_points,
+        ..TortureConfig::default()
+    };
     cfg.dense = cli::take_value(&mut args, "--dense")?.unwrap_or(cfg.dense);
     cfg.stride = cli::take_value(&mut args, "--stride")?.unwrap_or(cfg.stride);
     cfg.max_points = cli::take_value(&mut args, "--max-points")?.unwrap_or(cfg.max_points);
@@ -726,9 +736,9 @@ fn parse_run_args(
 }
 
 /// Runs one benchmark at one frequency and summarises it.
-fn cmd_run(_ctx: &ExecCtx, args: &[String]) -> CliResult {
+fn cmd_run(ctx: &ExecCtx, args: &[String]) -> CliResult {
     let (bench, ghz, scale) = parse_run_args(args)?;
-    let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale))?;
+    let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale), ctx.monitor())?;
     println!("{} at {ghz} GHz (scale {scale}):", bench.name);
     println!("  execution    {}", r.exec);
     println!("  GC time      {} ({} collections)", r.gc_time, r.gc_count);
@@ -755,11 +765,11 @@ fn cmd_run(_ctx: &ExecCtx, args: &[String]) -> CliResult {
 }
 
 /// Runs one benchmark and saves its execution trace as JSON.
-fn cmd_record(_ctx: &ExecCtx, args: &[String]) -> CliResult {
+fn cmd_record(ctx: &ExecCtx, args: &[String]) -> CliResult {
     let (bench, ghz, _) = parse_run_args(args)?;
     let out = args.get(2).ok_or("missing output path")?;
     let scale: f64 = pos(args, 3, 0.1);
-    let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale))?;
+    let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale), ctx.monitor())?;
     fs::write(out, serde_json::to_vec(&r.trace)?)?;
     println!(
         "recorded {}: {} epochs over {} -> {out}",
@@ -862,7 +872,7 @@ mod tests {
     #[test]
     fn unknown_or_missing_subcommand_is_a_usage_error_listing_them_all() {
         for argv in [strs(&["nosuch", "0.1"]), strs(&[])] {
-            assert_eq!(main(&argv), ExitCode::FAILURE, "{argv:?}");
+            assert_eq!(main(&argv, &[]), ExitCode::FAILURE, "{argv:?}");
             let err = lookup(&argv).expect_err("no such command");
             for c in COMMANDS {
                 let listed = err.lines().any(|l| l.split_whitespace().next() == Some(c.name));
@@ -908,7 +918,7 @@ mod tests {
     fn zero_shards_is_a_usage_error_for_fleet_and_thermal() {
         for name in ["fleet", "thermal"] {
             let argv = strs(&[name, "--shards", "0"]);
-            assert_eq!(main(&argv), ExitCode::FAILURE, "{name}");
+            assert_eq!(main(&argv, &[]), ExitCode::FAILURE, "{name}");
             let (cmd, args) = lookup(&argv).expect("command exists");
             let Body::Sweep(body) = cmd.body else {
                 panic!("{name} runs on the shared context");

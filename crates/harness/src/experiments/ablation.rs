@@ -13,7 +13,7 @@ use depburst::{relative_error, CtpMode, Dep, DvfsPredictor, ErrorStats, NonScali
 use dvfs_trace::{Freq, TimeDelta};
 use energyx::{EnergyManager, ManagerConfig, PowerModel};
 use serde::Serialize;
-use simx::{Machine, MachineConfig};
+use simx::MachineConfig;
 
 use crate::report::{pct, pct_abs, TextTable};
 use crate::run::{ExecCtx, SimPoint, SweepPlan};
@@ -41,16 +41,6 @@ pub fn dep_variants() -> Vec<Dep> {
         }
     }
     v
-}
-
-/// Runs the per-thread-model ablation (base 1 GHz → target 4 GHz).
-///
-/// # Panics
-/// Panics if a run fails; prefer [`model_ablation_with`] in binaries.
-#[must_use]
-pub fn model_ablation(scale: f64, seed: u64) -> Vec<ModelAblationRow> {
-    model_ablation_with(&ExecCtx::sequential(), scale, seed)
-        .unwrap_or_else(|e| panic!("ablation: {e}"))
 }
 
 /// Runs the per-thread-model ablation on `ctx`'s pool and cache.
@@ -130,16 +120,6 @@ pub struct ManagerSweepRow {
     pub switches: u64,
 }
 
-/// Sweeps hold-off and quantum for one benchmark at a 5% threshold.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`manager_sweep_with`] in binaries.
-#[must_use]
-pub fn manager_sweep(bench_name: &str, scale: f64, seed: u64) -> Vec<ManagerSweepRow> {
-    manager_sweep_with(&ExecCtx::sequential(), bench_name, scale, seed)
-        .unwrap_or_else(|e| panic!("ablation sweep: {e}"))
-}
-
 /// Sweeps hold-off and quantum on `ctx`: the 4 GHz baseline is a shared
 /// cacheable point, and the six managed configurations fan out across
 /// workers (managed runs mutate frequency mid-run, so they stay
@@ -180,7 +160,7 @@ pub fn manager_sweep_with(
         config.quantum = TimeDelta::from_millis(quantum_ms);
         let mut mc = MachineConfig::haswell_quad();
         mc.initial_freq = Freq::from_ghz(4.0);
-        let mut machine = Machine::new(mc);
+        let mut machine = ctx.machine(mc);
         bench.install(&mut machine, scale, seed);
         let manager = EnergyManager::new(config, Box::new(Dep::dep_burst()));
         let report = manager.run(&mut machine)?;
@@ -224,16 +204,6 @@ pub struct RegressionRow {
     pub regression: f64,
     /// DEP+BURST error on the same runs (no training needed).
     pub dep_burst: f64,
-}
-
-/// Runs the leave-one-out study.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`regression_ablation_with`] in binaries.
-#[must_use]
-pub fn regression_ablation(scale: f64, seed: u64) -> Vec<RegressionRow> {
-    regression_ablation_with(&ExecCtx::sequential(), scale, seed)
-        .unwrap_or_else(|e| panic!("ablation regression: {e}"))
 }
 
 /// Runs the leave-one-out study on `ctx`'s pool and cache. Every point

@@ -21,7 +21,7 @@ use depburst::{Dep, DvfsPredictor, MCrit, NonScalingModel};
 use dvfs_trace::{ExecutionTrace, Freq};
 use energyx::{EnergyManager, ManagerConfig, PowerModel};
 use serde::Serialize;
-use simx::{FaultClass, FaultConfig, FaultInjector, Machine, MachineConfig};
+use simx::{FaultClass, FaultConfig, FaultInjector, MachineConfig};
 
 use super::fig6;
 use crate::report::{pct, pct_abs, TextTable};
@@ -79,6 +79,7 @@ fn cell_config(class: Option<FaultClass>, intensity: f64, seed: u64) -> FaultCon
 /// can clear on the next try while the workload itself stays fixed.
 #[allow(clippy::too_many_arguments)]
 fn evaluate(
+    ctx: &ExecCtx,
     bench: &Benchmark,
     class: Option<FaultClass>,
     intensity: f64,
@@ -109,7 +110,7 @@ fn evaluate(
 
     let mut mc = MachineConfig::haswell_quad();
     mc.initial_freq = f4;
-    let mut machine = Machine::new(mc);
+    let mut machine = ctx.machine(mc);
     bench.install(&mut machine, scale, seed);
     machine.install_faults(cell_config(class, intensity, fault_seed));
     let manager = EnergyManager::new(
@@ -194,6 +195,7 @@ pub fn collect_with(
             .collect();
         let evaluated = ctx.map_resilient(labelled, |&(class, intensity), attempt| {
             evaluate(
+                ctx,
                 bench,
                 class,
                 intensity,

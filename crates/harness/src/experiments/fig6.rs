@@ -6,7 +6,7 @@ use depburst::Dep;
 use dvfs_trace::Freq;
 use energyx::{EnergyManager, ManagerConfig, PowerModel};
 use serde::Serialize;
-use simx::{Machine, MachineConfig};
+use simx::MachineConfig;
 
 use crate::report::{pct, TextTable};
 use crate::run::{ExecCtx, SimPoint, SweepPlan};
@@ -87,7 +87,7 @@ pub fn managed_with(
 
     let mut mc = MachineConfig::haswell_quad();
     mc.initial_freq = Freq::from_ghz(4.0);
-    let mut machine = Machine::new(mc);
+    let mut machine = ctx.machine(mc);
     bench.install(&mut machine, scale, seed);
     let manager = EnergyManager::new(config, Box::new(Dep::dep_burst()));
     let report = manager.run(&mut machine)?;

@@ -1046,11 +1046,93 @@ fn step_shards(
     outs
 }
 
+/// The ingest stage: delivers every telemetry datagram due by `round`
+/// into the governor's last-known view, queue by queue in machine order.
+fn ingest_telemetry(round: usize, inflight: &mut [VecDeque<Telemetry>], known: &mut [Known]) {
+    for (m, queue) in inflight.iter_mut().enumerate() {
+        while queue.front().is_some_and(|t| t.due <= round) {
+            let t = queue.pop_front().expect("front checked");
+            known[m] = Known {
+                backlog: t.backlog,
+                mode: t.mode,
+            };
+        }
+    }
+}
+
+/// The gather stage: checks every round output (ladder membership,
+/// thermal ceiling), accounts its power, queues its telemetry datagram,
+/// then lets the overshoot breaker observe the round. Returns whether
+/// the round's draw overshot the effective budget.
+///
+/// # Errors
+/// An off-ladder frequency or a post-emergency ceiling breach surfaces
+/// as an invariant violation.
+fn gather_round(
+    env: &RoundEnv<'_>,
+    shards: &[Vec<MachineState>],
+    outs: &[RoundOut],
+    inflight: &mut [VecDeque<Telemetry>],
+    prev_backlog: &mut [f64],
+    breaker: &mut OvershootBreaker,
+) -> depburst_core::Result<bool> {
+    let round = env.round;
+    let mut round_power = 0.0;
+    let mut powers = vec![0.0f64; env.machines];
+    for (state, out) in shards.iter().flatten().zip(outs) {
+        if !state.ladder.contains(out.freq) {
+            return Err(violation(
+                Invariant::LadderMembership,
+                round,
+                format!("machine {} ran off-ladder at {}", out.machine, out.freq),
+            ));
+        }
+        if out.ceiling_breach {
+            return Err(violation(
+                Invariant::ThermalCeiling,
+                round,
+                format!(
+                    "machine {} coasted past its post-emergency ceiling at {} m°C",
+                    out.machine,
+                    state.thermal.true_mc()
+                ),
+            ));
+        }
+        round_power += out.energy / ROUND_SECS;
+        powers[out.machine] = out.energy / ROUND_SECS;
+        let chaos = env.schedule.state(round, out.machine);
+        if let Some(mode) = out.mode {
+            if !chaos.telemetry_lost {
+                // Stale harvests deliver the previous round's value; slow
+                // links arrive late; both on time-ordered queues so
+                // delivery order is deterministic.
+                let content = if chaos.stale {
+                    prev_backlog[out.machine]
+                } else {
+                    out.backlog
+                };
+                inflight[out.machine].push_back(Telemetry {
+                    due: round + 1 + chaos.link_delay as usize,
+                    backlog: content,
+                    mode,
+                });
+            }
+        }
+        prev_backlog[out.machine] = out.backlog;
+    }
+    if env.config.thermal.enabled {
+        // The feed's anti-cascade backstop: trip the heaviest
+        // overshooters to the floor, release them staggered.
+        breaker.observe(round as u64, env.eff_w, &powers);
+    }
+    Ok(round_power > env.eff_w * (1.0 + OVERSHOOT_REL_TOL))
+}
+
 /// Runs the round loop over prepared shard states and assembles the
 /// report. The heart of the fleet — shared by the simulator-backed
 /// [`run_with`] and the fuzzer's [`run_synthetic`]. Each round runs its
-/// stages in order: telemetry ingest, [`allocate_round`],
-/// [`step_shards`], gather, breaker.
+/// stages in order: [`ingest_telemetry`], [`allocate_round`],
+/// [`step_shards`], [`gather_round`].
 fn run_rounds(
     config: &FleetConfig,
     topo: &FleetTopology,
@@ -1067,7 +1149,6 @@ fn run_rounds(
 
     let mut hier = HierarchicalGovernor::new(regions);
     let mut breaker = OvershootBreaker::new(machines, config.breaker);
-    let breaker_on = config.thermal.enabled;
 
     // The governor's delayed-telemetry ingest (DepBurst policy): what it
     // currently believes, and the in-flight datagrams.
@@ -1083,16 +1164,7 @@ fn run_rounds(
     let mut eff_budget_sum = 0.0f64;
 
     for round in 0..config.rounds {
-        // Deliver due telemetry.
-        for (m, queue) in inflight.iter_mut().enumerate() {
-            while queue.front().is_some_and(|t| t.due <= round) {
-                let t = queue.pop_front().expect("front checked");
-                known[m] = Known {
-                    backlog: t.backlog,
-                    mode: t.mode,
-                };
-            }
-        }
+        ingest_telemetry(round, &mut inflight, &mut known);
 
         // The effective (browned-out) budget every allocator sees.
         let eff_w = config.budget_w * f64::from(schedule.budget_milli(round)) / 1000.0;
@@ -1109,59 +1181,15 @@ fn run_rounds(
         let assigned = allocate_round(&env, &shards, &known, &mut hier, &region_size)?;
         let outs = step_shards(&env, &mut shards, &assigned, &breaker);
 
-        // Gather: ladder membership, thermal ceiling, power accounting,
-        // telemetry batch.
-        let mut round_power = 0.0;
-        let mut powers = vec![0.0f64; machines];
-        for (state, out) in shards.iter().flatten().zip(&outs) {
-            if !state.ladder.contains(out.freq) {
-                return Err(violation(
-                    Invariant::LadderMembership,
-                    round,
-                    format!("machine {} ran off-ladder at {}", out.machine, out.freq),
-                ));
-            }
-            if out.ceiling_breach {
-                return Err(violation(
-                    Invariant::ThermalCeiling,
-                    round,
-                    format!(
-                        "machine {} coasted past its post-emergency ceiling at {} m°C",
-                        out.machine,
-                        state.thermal.true_mc()
-                    ),
-                ));
-            }
-            round_power += out.energy / ROUND_SECS;
-            powers[out.machine] = out.energy / ROUND_SECS;
-            let chaos = schedule.state(round, out.machine);
-            if let Some(mode) = out.mode {
-                if !chaos.telemetry_lost {
-                    // Stale harvests deliver the previous round's
-                    // value; slow links arrive late; both on
-                    // time-ordered queues so delivery order is
-                    // deterministic.
-                    let content = if chaos.stale {
-                        prev_backlog[out.machine]
-                    } else {
-                        out.backlog
-                    };
-                    inflight[out.machine].push_back(Telemetry {
-                        due: round + 1 + chaos.link_delay as usize,
-                        backlog: content,
-                        mode,
-                    });
-                }
-            }
-            prev_backlog[out.machine] = out.backlog;
-        }
-        if round_power > eff_w * (1.0 + OVERSHOOT_REL_TOL) {
+        if gather_round(
+            &env,
+            &shards,
+            &outs,
+            &mut inflight,
+            &mut prev_backlog,
+            &mut breaker,
+        )? {
             overshoot_rounds += 1;
-        }
-        if breaker_on {
-            // The feed's anti-cascade backstop: trip the heaviest
-            // overshooters to the floor, release them staggered.
-            breaker.observe(round as u64, eff_w, &powers);
         }
     }
 

@@ -54,6 +54,7 @@ pub struct PerCoreRow {
 
 /// Runs one pinned configuration and returns (exec seconds, energy J).
 fn run_pinned(
+    ctx: &ExecCtx,
     bench: &Benchmark,
     scale: f64,
     seed: u64,
@@ -63,7 +64,7 @@ fn run_pinned(
 ) -> depburst_core::Result<(f64, f64)> {
     let mut mc = MachineConfig::haswell_quad();
     mc.initial_freq = Freq::from_ghz(4.0);
-    let mut machine = Machine::new(mc);
+    let mut machine = ctx.machine(mc);
 
     let mut config = bench.runtime_config();
     config.mutator_affinity = Some(APP_MASK);
@@ -145,7 +146,8 @@ pub fn collect_with(
 ) -> depburst_core::Result<Vec<PerCoreRow>> {
     let power = PowerModel::haswell_22nm();
     let f4 = Freq::from_ghz(4.0);
-    let (base_exec, base_energy) = run_pinned(bench, scale, seed, ScaledGroup::None, f4, &power)?;
+    let (base_exec, base_energy) =
+        run_pinned(ctx, bench, scale, seed, ScaledGroup::None, f4, &power)?;
     let mut rows = vec![PerCoreRow {
         benchmark: bench.name.to_owned(),
         group: ScaledGroup::None,
@@ -164,7 +166,8 @@ pub fn collect_with(
         }
     }
     let scaled = ctx.collect_resilient(grid, |&(group, ghz), _attempt| {
-        let (exec, energy) = run_pinned(bench, scale, seed, group, Freq::from_ghz(ghz), &power)?;
+        let (exec, energy) =
+            run_pinned(ctx, bench, scale, seed, group, Freq::from_ghz(ghz), &power)?;
         Ok(PerCoreRow {
             benchmark: bench.name.to_owned(),
             group,

@@ -64,6 +64,10 @@ pub struct TortureConfig {
     pub soak_intensity: f64,
     /// Master seed for every injector the sweep builds.
     pub storage_seed: u64,
+    /// Invariant monitor depth of every pass's machines.
+    pub invariants: simx::InvariantMode,
+    /// Log every point of every pass to stderr.
+    pub trace_points: bool,
 }
 
 impl Default for TortureConfig {
@@ -77,6 +81,8 @@ impl Default for TortureConfig {
             bitflips: 64,
             soak_intensity: 0.3,
             storage_seed: 0xD15C,
+            invariants: simx::InvariantMode::Off,
+            trace_points: false,
         }
     }
 }
@@ -223,14 +229,11 @@ impl PassDirs {
 /// given. `resume` replays the existing journal instead of truncating.
 fn run_pass(
     dirs: &PassDirs,
-    scale: f64,
-    seed: u64,
+    cfg: &TortureConfig,
     storage: Option<Arc<FaultyVfs>>,
     resume: bool,
 ) -> PassOutcome {
-    let mut ctx = ExecCtx::new(1)
-        .with_policy(RetryPolicy::none())
-        .with_cache(SimCache::persistent(&dirs.cache));
+    let mut ctx = pass_ctx(cfg).with_cache(SimCache::persistent(&dirs.cache));
     if let Some(vfs) = storage {
         ctx = ctx.with_storage(vfs);
     }
@@ -246,12 +249,20 @@ fn run_pass(
         // filled up. The crash itself still fails the sweep's points.
         Err(create_err) => eprintln!("torture: pass has no journal ({create_err})"),
     }
-    let output = fig3_output(&ctx, scale, seed);
+    let output = fig3_output(&ctx, cfg.scale, cfg.seed);
     PassOutcome {
         output,
         failures: ctx.failures(),
         stats: ctx.storage().map(|s| s.stats()),
     }
+}
+
+/// A one-worker, no-retry context under `cfg`'s monitor and tracing.
+fn pass_ctx(cfg: &TortureConfig) -> ExecCtx {
+    let mut ctx = ExecCtx::new(1).with_policy(RetryPolicy::none());
+    ctx.invariants = cfg.invariants;
+    ctx.trace_points = cfg.trace_points;
+    ctx
 }
 
 /// The crash-point indices `cfg` selects out of `total_ops` operations:
@@ -299,7 +310,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
     // Phase 0a: the reference output, plain real filesystem.
     eprintln!("torture: reference pass (RealVfs)");
     let ref_dirs = PassDirs::under(&workdir, "reference");
-    let reference = run_pass(&ref_dirs, cfg.scale, cfg.seed, None, false)
+    let reference = run_pass(&ref_dirs, cfg, None, false)
         .output
         .map_err(|e| format!("reference pass failed: {e}"))?;
     ref_dirs.clean();
@@ -309,13 +320,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
     eprintln!("torture: census pass (inert injector)");
     let census_dirs = PassDirs::under(&workdir, "census");
     let census_vfs = Arc::new(FaultyVfs::new(StorageFaultConfig::none(cfg.storage_seed)));
-    let census = run_pass(
-        &census_dirs,
-        cfg.scale,
-        cfg.seed,
-        Some(Arc::clone(&census_vfs)),
-        false,
-    );
+    let census = run_pass(&census_dirs, cfg, Some(Arc::clone(&census_vfs)), false);
     let inert_identical = census.output.as_deref() == Ok(reference.as_str());
     let total_ops = census_vfs.op_count();
     census_dirs.clean();
@@ -336,7 +341,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
             point,
             cfg.storage_seed,
         )));
-        let crash = run_pass(&crash_dirs, cfg.scale, cfg.seed, Some(faulty), false);
+        let crash = run_pass(&crash_dirs, cfg, Some(faulty), false);
         // A crash landing after the last result was assembled can let the
         // pass complete; its output must then already be correct.
         if let Ok(out) = &crash.output {
@@ -346,7 +351,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
             }
         }
         // The machine "rebooted": resume over whatever bytes survived.
-        let resumed = run_pass(&crash_dirs, cfg.scale, cfg.seed, None, true);
+        let resumed = run_pass(&crash_dirs, cfg, None, true);
         match &resumed.output {
             Ok(out) if *out == reference => identical += 1,
             Ok(_) => silent_points.push(point),
@@ -379,8 +384,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
     let soak_dirs = PassDirs::under(&workdir, "soak");
     let soak_a = run_pass(
         &soak_dirs,
-        cfg.scale,
-        cfg.seed,
+        cfg,
         Some(Arc::new(FaultyVfs::new(StorageFaultConfig::uniform(
             cfg.soak_intensity,
             cfg.storage_seed,
@@ -392,8 +396,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
     // corruption and fresh write faults.
     let soak_b = run_pass(
         &soak_dirs,
-        cfg.scale,
-        cfg.seed,
+        cfg,
         Some(Arc::new(FaultyVfs::new(StorageFaultConfig::uniform(
             cfg.soak_intensity,
             cfg.storage_seed.wrapping_add(1),
@@ -437,9 +440,7 @@ fn bitflip_sweep(
     cfg: &TortureConfig,
 ) -> Result<(usize, usize), Box<dyn std::error::Error>> {
     let flip_root = workdir.join("flip-cache");
-    let seeder = ExecCtx::new(1)
-        .with_policy(RetryPolicy::none())
-        .with_cache(SimCache::persistent(&flip_root));
+    let seeder = pass_ctx(cfg).with_cache(SimCache::persistent(&flip_root));
     let bench = dacapo_sim::benchmark("lusearch").ok_or("lusearch exists")?;
     let mut plan = crate::run::SweepPlan::new();
     plan.push(crate::run::SimPoint::new(

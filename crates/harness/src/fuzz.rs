@@ -31,7 +31,9 @@ use depburst_core::DepburstError;
 use dvfs_trace::{ExecutionTrace, Freq, FreqLadder};
 use serde::Serialize;
 use simx::faults::SplitMix64;
-use simx::{FaultClass, FaultConfig, Invariant, InvariantMode, Machine, MachineConfig, RunOutcome};
+use simx::{
+    FaultClass, FaultConfig, Invariant, InvariantMode, Machine, MachineConfig, Monitor, RunOutcome,
+};
 
 /// The fault classes the fuzzer draws schedules from: the measurable
 /// classes that corrupt observations or timing without killing the run.
@@ -233,11 +235,11 @@ fn simulate(
 ) -> depburst_core::Result<(f64, ExecutionTrace)> {
     let mut mc = case.machine_config();
     mc.initial_freq = freq;
-    let mut machine = Machine::new(mc);
-    machine.set_invariant_mode(InvariantMode::Full);
+    let mut monitor = Monitor::new(InvariantMode::Full);
     if let Some(inv) = sabotage {
-        machine.monitor_mut().sabotage(inv);
+        monitor.sabotage(inv);
     }
+    let mut machine = Machine::with_monitor(mc, monitor);
     if let Some(fault) = case.fault_config() {
         machine.install_faults(fault);
     }

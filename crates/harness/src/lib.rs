@@ -47,7 +47,7 @@ pub use cache::{bench_digest, fault_digest, sim_key, sim_key_from_digests, Cache
 pub use checkpoint::Journal;
 pub use resilience::{FailureCause, FailureReport, PointFailure, RetryPolicy};
 pub use run::{
-    run_benchmark, try_run_benchmark, try_run_benchmark_monitored, ExecCtx, RunConfig, RunResult,
-    RunSummary, SimPoint, SweepPlan,
+    run_benchmark, try_run_benchmark, ExecCtx, RunConfig, RunResult, RunSummary, SimPoint,
+    SweepPlan,
 };
 pub use vfs::{FaultyVfs, RealVfs, StorageFaultConfig, StorageFaultStats, Vfs};

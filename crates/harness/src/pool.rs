@@ -47,20 +47,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Resolves a jobs request: `Some(n)` is clamped to at least 1, `None`
-/// falls back to the `DEPBURST_JOBS` environment variable and then to
-/// [`default_jobs`].
-#[must_use]
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    match requested {
-        Some(n) => n.max(1),
-        None => std::env::var("DEPBURST_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or_else(default_jobs, |n| n.max(1)),
-    }
-}
-
 /// Maps `f` over `items` on up to `jobs` workers, returning the results
 /// in input order. `f` must be a pure function of its item (it runs once
 /// per item, on an arbitrary worker).
@@ -215,10 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn resolve_jobs_clamps_and_defaults() {
-        assert_eq!(resolve_jobs(Some(0)), 1);
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
+    fn default_jobs_is_at_least_one() {
+        assert!(default_jobs() >= 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::Duration;
 use dacapo_sim::Benchmark;
 use dvfs_trace::{ExecutionTrace, Freq, TimeDelta};
 use serde::{Deserialize, Serialize};
-use simx::{Machine, MachineConfig, RunOutcome, RunStats};
+use simx::{Invariant, InvariantMode, Machine, MachineConfig, Monitor, RunOutcome, RunStats};
 
 use crate::cache::{SimCache, SimKey};
 use crate::checkpoint::Journal;
@@ -19,7 +19,7 @@ use crate::pool;
 use crate::resilience::{
     attempt_resilient, FailureCause, FailureReport, PointFailure, ResilienceStats, RetryPolicy,
 };
-use crate::vfs::{parse_storage_faults, FaultyVfs, RealVfs, StorageFaultConfig, Vfs};
+use crate::vfs::{FaultyVfs, RealVfs, StorageFaultConfig, Vfs};
 
 /// Parameters of one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,7 +202,7 @@ impl RunSummary {
     }
 }
 
-/// Parses a `DEPBURST_SAMPLING` / `--sampling` setting: `off`/`0`/empty
+/// Parses a `--sampling` / `DEPBURST_SAMPLING` setting: `off`/`0`/empty
 /// disables the sampled tier, `on`/`1` enables it with the default
 /// [`SamplingConfig`](simx::SamplingConfig), and a bare fraction enables
 /// it with that measure fraction (the probe keeps its default).
@@ -244,44 +244,18 @@ fn region_of(summary: &RunSummary, fraction: f64) -> simx::RegionMeasurement {
 
 /// Runs `bench` to completion under `config`, reporting simulator
 /// failures (deadlock, protocol violation) as errors. The invariant
-/// monitor runs at the mode `DEPBURST_INVARIANTS` selects (off by
-/// default); a violation surfaces as
+/// monitor is the caller's: an [`InvariantMode`] (the golden and
+/// determinism suites force `Full`), or an [`ExecCtx::monitor`]. A
+/// violation surfaces as
 /// [`DepburstError::InvariantViolation`](depburst_core::DepburstError::InvariantViolation).
 pub fn try_run_benchmark(
     bench: &Benchmark,
     config: RunConfig,
-) -> depburst_core::Result<RunResult> {
-    run_with_monitor(bench, config, None)
-}
-
-/// [`try_run_benchmark`] with an explicit invariant-monitor mode,
-/// overriding the `DEPBURST_INVARIANTS` environment default. The fuzzer
-/// and the self-check tests use this to force
-/// [`InvariantMode::Full`](simx::InvariantMode::Full) regardless of the
-/// caller's environment.
-pub fn try_run_benchmark_monitored(
-    bench: &Benchmark,
-    config: RunConfig,
-    mode: simx::InvariantMode,
-) -> depburst_core::Result<RunResult> {
-    run_with_monitor(bench, config, Some(mode))
-}
-
-/// The shared body of the plain and monitored entry points. `mode` of
-/// `None` keeps the machine's environment-derived monitor.
-fn run_with_monitor(
-    bench: &Benchmark,
-    config: RunConfig,
-    mode: Option<simx::InvariantMode>,
+    monitor: impl Into<Monitor>,
 ) -> depburst_core::Result<RunResult> {
     let mut mc = MachineConfig::haswell_quad();
     mc.initial_freq = config.freq;
-    let mut machine = Machine::new(mc);
-    if let Some(mode) = mode {
-        // Before install: the runtime snapshots the machine's mode to
-        // decide whether its threads record GC-handoff violations.
-        machine.set_invariant_mode(mode);
-    }
+    let mut machine = Machine::with_monitor(mc, monitor.into());
     let runtime = bench.install(&mut machine, config.scale, config.seed);
     let outcome = machine.run()?;
     let RunOutcome::Completed(end) = outcome else {
@@ -291,11 +265,11 @@ fn run_with_monitor(
     debug_assert!(trace.validate().is_ok(), "{:?}", trace.validate());
     // Runtime threads cannot reach the machine's monitor mid-run; merge
     // the GC-handoff violations they recorded on the side.
-    if machine.monitor().on(simx::Invariant::GcPauseAccounting) {
+    if machine.monitor().on(Invariant::GcPauseAccounting) {
         for (at_secs, detail) in runtime.take_gc_violations() {
             machine
                 .monitor_mut()
-                .record(simx::Invariant::GcPauseAccounting, at_secs, detail);
+                .record(Invariant::GcPauseAccounting, at_secs, detail);
         }
     }
     if let Some(err) = machine.invariant_error() {
@@ -311,7 +285,8 @@ fn run_with_monitor(
     })
 }
 
-/// Runs `bench` to completion under `config` and returns the results.
+/// Runs `bench` to completion under `config` with the invariant monitor
+/// off and returns the results.
 ///
 /// # Panics
 /// Panics if the simulated program deadlocks (a bug in the runtime or
@@ -319,7 +294,8 @@ fn run_with_monitor(
 /// propagates the error.
 #[must_use]
 pub fn run_benchmark(bench: &Benchmark, config: RunConfig) -> RunResult {
-    try_run_benchmark(bench, config).unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+    try_run_benchmark(bench, config, InvariantMode::Off)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
 }
 
 /// One point of an experiment grid: a benchmark at a frequency, scale,
@@ -368,8 +344,11 @@ impl SweepPlan {
 
 /// The execution context experiments run under: how many pool workers to
 /// use, the simulation memo shared by every plan executed through it,
-/// and the resilience machinery — retry policy, per-point watchdog,
-/// checkpoint journal, and the run's accumulated point failures.
+/// the invariant monitor every machine it builds starts with, and the
+/// resilience machinery — retry policy, per-point watchdog, checkpoint
+/// journal, and the run's accumulated point failures. Every setting is
+/// an explicit value; the binary resolves them from flags and the
+/// environment in `harness::cli`.
 #[derive(Debug)]
 pub struct ExecCtx {
     /// Pool width. 1 = run points in place, exactly like the historical
@@ -387,6 +366,17 @@ pub struct ExecCtx {
     /// `simx::sampling`. Sampled results key under
     /// [`SimKey::with_sampling`], so they never collide with exact ones.
     pub sampling: Option<simx::SamplingConfig>,
+    /// The invariant monitor's depth on every machine this context
+    /// builds (see [`monitor`](Self::monitor)).
+    pub invariants: InvariantMode,
+    /// Test-only: the invariant deliberately weakened on every machine
+    /// this context builds, and in the fleet round loop, so CI can prove
+    /// the detector fires. `None` in every real run.
+    pub sabotage: Option<Invariant>,
+    /// Log every point with its key and wall-clock to stderr — the first
+    /// tool to reach for when a sweep stalls or the cache misses
+    /// unexpectedly.
+    pub trace_points: bool,
     /// The checkpoint journal, when the run is resumable.
     journal: Option<Journal>,
     /// The storage-fault injector, when one is installed (torture runs
@@ -405,7 +395,8 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// A context with `jobs` workers, a fresh in-memory cache, the
-    /// default retry policy, and no watchdog or journal.
+    /// default retry policy, the invariant monitor off, and no watchdog
+    /// or journal.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         ExecCtx {
@@ -414,6 +405,9 @@ impl ExecCtx {
             policy: RetryPolicy::default(),
             point_timeout: None,
             sampling: None,
+            invariants: InvariantMode::Off,
+            sabotage: None,
+            trace_points: false,
             journal: None,
             storage: None,
             failures: Mutex::new(Vec::new()),
@@ -428,34 +422,23 @@ impl ExecCtx {
         Self::new(1)
     }
 
-    /// The context the binaries use: `requested` jobs (falling back to
-    /// `DEPBURST_JOBS`, then to the machine's parallelism), cache
-    /// persistence per `DEPBURST_CACHE`, retries per `DEPBURST_RETRIES`,
-    /// and the watchdog per `DEPBURST_POINT_TIMEOUT` (seconds).
+    /// A fresh monitor for one machine: this context's mode, with the
+    /// sabotage hook armed when one is set.
     #[must_use]
-    pub fn from_env(requested: Option<usize>) -> Self {
-        let mut ctx = Self::new(pool::resolve_jobs(requested));
-        ctx.cache = SimCache::from_env();
-        ctx.policy = RetryPolicy::from_env();
-        ctx.point_timeout = std::env::var("DEPBURST_POINT_TIMEOUT")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|secs| *secs > 0.0)
-            .map(Duration::from_secs_f64);
-        if let Ok(v) = std::env::var("DEPBURST_SAMPLING") {
-            match parse_sampling_setting(v.trim()) {
-                Ok(sampling) => ctx.sampling = sampling,
-                Err(e) => eprintln!("warning: ignoring DEPBURST_SAMPLING: {e}"),
-            }
+    pub fn monitor(&self) -> Monitor {
+        let mut monitor = Monitor::new(self.invariants);
+        if let Some(inv) = self.sabotage {
+            monitor.sabotage(inv);
         }
-        if let Ok(v) = std::env::var("DEPBURST_STORAGE_FAULTS") {
-            match parse_storage_faults(&v) {
-                Ok(Some(cfg)) => ctx = ctx.with_storage_faults(cfg),
-                Ok(None) => {}
-                Err(e) => eprintln!("warning: ignoring DEPBURST_STORAGE_FAULTS: {e}"),
-            }
-        }
-        ctx
+        monitor
+    }
+
+    /// An idle machine under this context's [`monitor`](Self::monitor).
+    /// Experiments that drive a machine themselves (managed, pinned or
+    /// fault-injected runs) build it here so the monitor reaches them.
+    #[must_use]
+    pub fn machine(&self, config: MachineConfig) -> Machine {
+        Machine::with_monitor(config, self.monitor())
     }
 
     /// Replaces the cache (builder style).
@@ -506,7 +489,7 @@ impl ExecCtx {
     /// *before* the journal so both layers see one fault schedule.
     #[must_use]
     pub fn with_storage(mut self, vfs: Arc<FaultyVfs>) -> Self {
-        self.cache.set_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        self.cache = self.cache.with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
         self.storage = Some(vfs);
         self
     }
@@ -515,15 +498,6 @@ impl ExecCtx {
     #[must_use]
     pub fn with_storage_faults(self, cfg: StorageFaultConfig) -> Self {
         self.with_storage(Arc::new(FaultyVfs::new(cfg)))
-    }
-
-    /// Removes any installed injector, restoring direct [`RealVfs`] I/O
-    /// (an explicit `--storage-faults off` over an env-installed one).
-    #[must_use]
-    pub fn without_storage(mut self) -> Self {
-        self.cache.set_vfs(Arc::new(RealVfs));
-        self.storage = None;
-        self
     }
 
     /// The installed storage-fault injector, if any.
@@ -572,12 +546,6 @@ impl ExecCtx {
     #[must_use]
     pub fn failures(&self) -> Vec<PointFailure> {
         self.failures.lock().expect("failures lock").clone()
-    }
-
-    /// True when any point ultimately failed under this context.
-    #[must_use]
-    pub fn has_failures(&self) -> bool {
-        !self.failures.lock().expect("failures lock").is_empty()
     }
 
     /// The end-of-run failure report, or `None` for a clean run.
@@ -639,7 +607,10 @@ impl ExecCtx {
         namespace: Option<&str>,
         plan: &SweepPlan,
     ) -> depburst_core::Result<Vec<Arc<RunSummary>>> {
-        self.collect_sweep(plan, self.execute_outcomes_in(namespace, plan))
+        self.collect_sweep(
+            plan,
+            self.execute_outcomes(namespace, plan, self.sampling.as_ref()),
+        )
     }
 
     /// [`execute`](Self::execute) with an explicit sampling setting,
@@ -655,7 +626,7 @@ impl ExecCtx {
         plan: &SweepPlan,
         sampling: Option<&simx::SamplingConfig>,
     ) -> depburst_core::Result<Vec<Arc<RunSummary>>> {
-        self.collect_sweep(plan, self.execute_outcomes_with(None, plan, sampling))
+        self.collect_sweep(plan, self.execute_outcomes(None, plan, sampling))
     }
 
     /// Folds per-point outcomes into the complete-or-failed sweep result.
@@ -682,40 +653,18 @@ impl ExecCtx {
         Ok(ok)
     }
 
-    /// The per-point form of [`execute`](Self::execute): every point's
-    /// summary or structured failure, in plan order. Failures are *not*
-    /// recorded on the context — the caller decides whether a failed
-    /// point sinks the sweep or only its own cell.
-    pub fn execute_outcomes(
-        &self,
-        plan: &SweepPlan,
-    ) -> Vec<Result<Arc<RunSummary>, PointFailure>> {
-        self.execute_outcomes_in(None, plan)
-    }
-
-    /// The per-point form of [`execute_in`](Self::execute_in): journal
-    /// lookups and records use the namespaced key, the memo cache the raw
-    /// one.
-    pub fn execute_outcomes_in(
-        &self,
-        namespace: Option<&str>,
-        plan: &SweepPlan,
-    ) -> Vec<Result<Arc<RunSummary>, PointFailure>> {
-        self.execute_outcomes_with(namespace, plan, self.sampling.as_ref())
-    }
-
-    /// The engine under every `execute` variant, with the sampling
-    /// setting fully explicit.
-    fn execute_outcomes_with(
+    /// The engine under every `execute` variant: every point's summary or
+    /// structured failure, in plan order, with the sampling setting fully
+    /// explicit. Journal lookups and records use the namespaced key, the
+    /// memo cache the raw one. Failures are *not* recorded on the
+    /// context; [`collect_sweep`](Self::collect_sweep) does that.
+    fn execute_outcomes(
         &self,
         namespace: Option<&str>,
         plan: &SweepPlan,
         sampling: Option<&simx::SamplingConfig>,
     ) -> Vec<Result<Arc<RunSummary>, PointFailure>> {
-        // `DEPBURST_TRACE_POINTS=1` logs every point with its key and
-        // wall-clock to stderr — the first tool to reach for when a sweep
-        // stalls or the cache misses unexpectedly.
-        let tracing = std::env::var_os("DEPBURST_TRACE_POINTS").is_some();
+        let tracing = self.trace_points;
         // Key derivation walks the benchmark spec and the whole machine
         // config; a sweep shares a handful of (benchmark, frequency)
         // combinations across hundreds of points, so digest each input
@@ -792,7 +741,7 @@ impl ExecCtx {
                     if tracing {
                         eprintln!("  {}: miss, sampling", key.hex());
                     }
-                    self.compute_sampled(point, cfg, bd, md, fault_d, key, &label, tracing)
+                    self.compute_sampled(point, cfg, bd, md, fault_d, key, &label)
                 })
             } else {
                 self.cache.fetch(key, || {
@@ -808,7 +757,8 @@ impl ExecCtx {
                             // Plain cacheable points carry no fault injector,
                             // so the attempt index cannot change the result —
                             // a retry re-runs the identical pure simulation.
-                            try_run_benchmark(point.bench, point.config).map(|r| r.summarize())
+                            try_run_benchmark(point.bench, point.config, self.monitor())
+                                .map(|r| r.summarize())
                         },
                     ) {
                         Ok(summary) => Ok(summary),
@@ -892,8 +842,8 @@ impl ExecCtx {
         fault_d: u128,
         stash_key: SimKey,
         label: &str,
-        tracing: bool,
     ) -> depburst_core::Result<RunSummary> {
+        let tracing = self.trace_points;
         let run_region = |fraction: f64| -> depburst_core::Result<Arc<RunSummary>> {
             let sub_scale = point.config.scale * fraction;
             let sub_key = crate::cache::sim_key_from_digests(
@@ -918,7 +868,8 @@ impl ExecCtx {
                     &self.rstats,
                     &sub_label,
                     |_attempt| {
-                        try_run_benchmark(point.bench, sub_config).map(|r| r.summarize())
+                        try_run_benchmark(point.bench, sub_config, self.monitor())
+                            .map(|r| r.summarize())
                     },
                 ) {
                     Ok(summary) => Ok(summary),
@@ -1095,7 +1046,7 @@ mod tests {
     fn summary_matches_result() {
         let bench = benchmark("sunflow").expect("exists");
         let config = RunConfig::at_ghz(1.0).scaled(0.02);
-        let r = try_run_benchmark(bench, config).expect("completes");
+        let r = try_run_benchmark(bench, config, InvariantMode::Off).expect("completes");
         let s = r.summarize();
         assert_eq!(s.exec, r.exec);
         assert_eq!(s.total_active, r.stats.total_active());
@@ -1109,7 +1060,7 @@ mod tests {
         // or panic.
         let bench = benchmark("lusearch").expect("exists");
         let _guard = simx::watchdog::arm(Duration::ZERO);
-        let err = try_run_benchmark(bench, RunConfig::at_ghz(2.0).scaled(0.02))
+        let err = try_run_benchmark(bench, RunConfig::at_ghz(2.0).scaled(0.02), InvariantMode::Off)
             .expect_err("zero budget must expire");
         assert!(
             matches!(err, depburst_core::DepburstError::WatchdogExpired { .. }),
@@ -1144,5 +1095,45 @@ mod tests {
             "timeout detail must name the watchdog: {}",
             failures[0].detail
         );
+    }
+
+    #[test]
+    fn the_context_monitor_reaches_every_sweep_machine() {
+        // Sabotage weakens counter conservation so a healthy run violates
+        // it, but only a monitor that is on can notice. An exact and a
+        // sampled sweep must both fail the point as an Invariant failure
+        // under the context's monitor; with it off, the exact sweep
+        // returns the plain summaries.
+        use crate::resilience::{FailureCause, RetryPolicy};
+        let bench = benchmark("lusearch").expect("exists");
+        let mut plan = SweepPlan::new();
+        plan.push(SimPoint::new(bench, Freq::from_ghz(2.0), 0.02, 1));
+        let plain = ExecCtx::new(1).execute(&plan).expect("plain run");
+        for sampling in [None, Some(simx::SamplingConfig::default())] {
+            // A fresh context per mode: the memo cache would otherwise
+            // serve the second sweep without simulating it.
+            let ctx_at = |invariants| {
+                let mut ctx = ExecCtx::new(1)
+                    .with_policy(RetryPolicy::none())
+                    .with_sampling(sampling);
+                ctx.invariants = invariants;
+                ctx.sabotage = Some(Invariant::CounterConservation);
+                ctx
+            };
+            if sampling.is_none() {
+                let off = ctx_at(InvariantMode::Off).execute(&plan).expect("monitor off");
+                assert_eq!(off, plain);
+            }
+            let ctx = ctx_at(InvariantMode::Cheap);
+            let err = ctx.execute(&plan).expect_err("the sabotaged check must fire");
+            assert!(
+                matches!(
+                    err,
+                    depburst_core::DepburstError::SweepIncomplete { failed: 1, total: 1 }
+                ),
+                "got {err}"
+            );
+            assert_eq!(ctx.failures()[0].cause, FailureCause::Invariant, "{sampling:?}");
+        }
     }
 }

@@ -187,7 +187,7 @@ fn invariant_monitor_mode_never_changes_the_physics() {
         seed: 1,
     };
     let summary_at = |mode: simx::InvariantMode| {
-        let result = harness::try_run_benchmark_monitored(bench, config, mode)
+        let result = harness::try_run_benchmark(bench, config, mode)
             .unwrap_or_else(|e| panic!("clean run under {mode} failed: {e}"));
         serde_json::to_string_pretty(&result.summarize()).expect("summary serializes")
     };

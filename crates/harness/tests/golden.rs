@@ -98,7 +98,7 @@ fn golden_grid_is_clean_under_the_full_invariant_monitor() {
             scale: SCALE,
             seed: SEED,
         };
-        harness::try_run_benchmark_monitored(bench, config, simx::InvariantMode::Full)
+        harness::try_run_benchmark(bench, config, simx::InvariantMode::Full)
             .unwrap_or_else(|e| panic!("{name} @ {ghz} GHz violates an invariant: {e}"));
     }
 }
@@ -126,7 +126,7 @@ fn every_invariant_tier_produces_byte_identical_summaries() {
         let jsons: Vec<String> = tiers
             .iter()
             .map(|&mode| {
-                let r = harness::try_run_benchmark_monitored(bench, config, mode)
+                let r = harness::try_run_benchmark(bench, config, mode)
                     .unwrap_or_else(|e| panic!("{name} @ {ghz} GHz under {mode:?}: {e}"));
                 serde_json::to_string_pretty(&r.summarize()).expect("summary serializes")
             })

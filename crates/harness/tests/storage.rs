@@ -21,6 +21,7 @@ fn real_summary() -> harness::RunSummary {
             scale: SCALE,
             seed: 1,
         },
+        simx::InvariantMode::Off,
     )
     .expect("clean run")
     .summarize()

@@ -156,9 +156,18 @@ impl fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Builds an idle machine.
+    /// Builds an idle machine with the invariant monitor off.
     #[must_use]
     pub fn new(config: MachineConfig) -> Self {
+        Self::with_monitor(config, Monitor::default())
+    }
+
+    /// Builds an idle machine under `monitor`. The monitor is fixed before
+    /// anything is installed: the managed runtime snapshots its mode at
+    /// install time to decide whether its threads record GC-handoff
+    /// violations.
+    #[must_use]
+    pub fn with_monitor(config: MachineConfig, monitor: Monitor) -> Self {
         Machine {
             freqs: vec![config.initial_freq; config.cores],
             hierarchy: MemoryHierarchy::new(&config),
@@ -181,7 +190,7 @@ impl Machine {
             events_dispatched: 0,
             epochs_harvested: 0,
             faults: None,
-            monitor: Monitor::from_env(),
+            monitor,
         }
     }
 
@@ -240,17 +249,11 @@ impl Machine {
         &self.monitor
     }
 
-    /// Mutable access to the invariant monitor. Tests and the fuzzer use
-    /// this to sabotage a check or merge violations observed by layers
-    /// that cannot hold a machine borrow (the managed runtime).
+    /// Mutable access to the invariant monitor, to merge violations
+    /// observed by layers that cannot hold a machine borrow (the managed
+    /// runtime).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
         &mut self.monitor
-    }
-
-    /// Replaces the monitor with a fresh one at `mode`, overriding the
-    /// `DEPBURST_INVARIANTS` environment default read at construction.
-    pub fn set_invariant_mode(&mut self, mode: InvariantMode) {
-        self.monitor = Monitor::new(mode);
     }
 
     /// The first recorded invariant violation as a unified error, if the

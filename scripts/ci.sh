@@ -518,6 +518,45 @@ invariant_sampled_sweep() {
 }
 step "invariants: monitored sampled fig3 sweep" invariant_sampled_sweep
 
+# Monitor-reach gate: the two identity gates above stay green even if the
+# monitor never reaches a sweep's machines, so prove that it does, from
+# the flag and from the environment alike. With counter conservation
+# deliberately weakened, a monitored fig3 sweep must fail its points as
+# "Invariant" failures and exit 2; with the monitor off the hook is inert
+# and the sweep prints the plain bytes.
+monitor_reach() {
+    local out=/tmp/depburst-ci-reach
+    local form rc
+    rm -f "$out".*.out
+    "$DEPBURST" fig3 both "$SCALE" 1 --jobs 2 > "$out.plain.out" 2> /dev/null
+    local -x DEPBURST_BREAK_INVARIANT=counter-conservation
+    for form in flag env; do
+        rc=0
+        if [ "$form" = flag ]; then
+            in_tmp reach-flag fig3 both "$SCALE" 1 --jobs 2 --invariants cheap \
+                > /dev/null 2>&1 || rc=$?
+        else
+            (export DEPBURST_INVARIANTS=cheap
+             in_tmp reach-env fig3 both "$SCALE" 1 --jobs 2) > /dev/null 2>&1 || rc=$?
+        fi
+        if [ "$rc" -ne 2 ]; then
+            echo "sabotaged fig3 under the monitor ($form form): want exit 2, got $rc"
+            return 1
+        fi
+        grep -q '"Invariant"' "$SCRATCH/reach-$form/results/fig3_failures.json" || {
+            echo "sabotaged fig3 under the monitor ($form form) reported no Invariant failure"
+            return 1
+        }
+    done
+    in_tmp reach-off fig3 both "$SCALE" 1 --jobs 2 > "$out.off.out" 2> /dev/null
+    cmp "$out.plain.out" "$out.off.out" || {
+        echo "the sabotage hook changed fig3 output with the monitor off"
+        return 1
+    }
+    rm -f "$out".*.out
+}
+step "invariants: the monitor reaches sweep machines" monitor_reach
+
 # Sampling accuracy-regression gate: the checked-in sampled-vs-exact
 # validation report must show every workload × frequency cell within the
 # accepted bound for both execution time and GC time. The report is the
