@@ -43,7 +43,10 @@ use envelope::Encoded;
 /// v3: FNV-1a integrity checksum on every envelope and journal record
 /// (backward compatible by construction: old entries live under `v2/`
 /// and are simply never read).
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: `trace.epochs` stored as one base64 columnar, bit-exact payload
+/// inside the summary JSON (see [`envelope`]); v3 journals resumed at v4
+/// are skipped line by line and counted, never served.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The content digest keying one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,13 +173,15 @@ pub fn sim_key_from_digests(
 
 /// The derived parse of an on-disk envelope: the verifier before
 /// [`envelope::open`], kept as the test oracle it is compared against.
+/// The summary stays an untyped JSON value: its epochs are a columnar
+/// string only [`envelope`] decodes.
 #[cfg(test)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CacheEnvelope {
     schema: u32,
     key: String,
     checksum: String,
-    summary: RunSummary,
+    summary: serde::Value,
 }
 
 /// Hit/miss counters of a cache (for CI logs and tests).
@@ -454,9 +459,9 @@ impl SimCache {
     }
 }
 
-/// Verifies the envelope `bytes` read from `key`'s slot and parses its
+/// Verifies the envelope `bytes` read from `key`'s slot and decodes its
 /// summary: the framing and checksum ([`envelope::open`]), then the schema
-/// and key, then one JSON parse. The error says why the entry must be
+/// and key, then one decode. The error says why the entry must be
 /// quarantined.
 fn decode_entry(bytes: &[u8], key: SimKey) -> Result<(RunSummary, Encoded), String> {
     let framed = envelope::open(bytes).map_err(|reject| reject.to_string())?;
@@ -467,8 +472,7 @@ fn decode_entry(bytes: &[u8], key: SimKey) -> Result<(RunSummary, Encoded), Stri
             framed.key.hex()
         ));
     }
-    let summary = serde_json::from_str(framed.summary_json).map_err(|e| e.to_string())?;
-    Ok((summary, framed.encoded()))
+    Ok((framed.summary()?, framed.encoded()))
 }
 
 /// Removes a key from the in-flight set on scope exit — including an
@@ -615,29 +619,63 @@ mod tests {
         .summarize()
     }
 
+    /// A parsed summary with its `trace.epochs` swapped for `[]`, and the
+    /// value that was there.
+    fn take_epochs(summary: &serde::Value) -> (serde::Value, serde::Value) {
+        let mut shell = summary.clone();
+        let serde::Value::Map(fields) = &mut shell else {
+            panic!("summary is a map");
+        };
+        let Some((_, serde::Value::Map(trace))) = fields.iter_mut().find(|(k, _)| k == "trace")
+        else {
+            panic!("summary has a trace map");
+        };
+        let (_, epochs) = trace
+            .iter_mut()
+            .find(|(k, _)| k == "epochs")
+            .expect("trace has epochs");
+        let taken = std::mem::replace(epochs, serde::Value::Seq(Vec::new()));
+        (shell, taken)
+    }
+
     #[test]
     fn composed_envelope_matches_the_derived_serializer() {
-        // `frame` composes the envelope text around the once-serialized
+        // `frame` composes the envelope text around the once-encoded
         // summary and `open` verifies it without the derived Deserialize.
-        // Both must agree byte for byte with the derived serde oracle, and
-        // re-encoding the summary `open` hands back must reproduce the
-        // stored bytes: the canonical round-trip the checksum relies on.
+        // Both must agree byte for byte with the derived serde oracle, the
+        // summary must be its JSON oracle with only the epochs array
+        // replaced by a newline-free string, and re-encoding the summary
+        // the codec hands back must reproduce the stored bytes: the
+        // canonical round-trip the checksum relies on.
         for summary in [dummy_summary(23), real_summary()] {
             let encoded = Encoded::of(&summary).expect("serialize");
             let framed = envelope::frame(key_for(1), &encoded);
+            assert!(!framed.contains('\n'), "journal lines frame on newlines");
             let oracle: CacheEnvelope = serde_json::from_str(&framed).expect("parses");
             assert_eq!(oracle.schema, SCHEMA_VERSION);
             assert_eq!(oracle.key, key_for(1).hex());
             assert_eq!(oracle.checksum, format!("{:016x}", encoded.checksum));
-            assert_eq!(oracle.summary, summary);
             assert_eq!(
                 serde_json::to_string(&oracle).expect("re-serialize"),
                 framed,
                 "manual composition is byte-identical to the derived serializer"
             );
+            let json_oracle: serde::Value =
+                serde_json::from_str(&serde_json::to_string(&summary).expect("JSON oracle"))
+                    .expect("parses");
+            let (shell, columns) = take_epochs(&oracle.summary);
+            assert_eq!(
+                shell,
+                take_epochs(&json_oracle).0,
+                "all but the epochs stays JSON"
+            );
+            assert!(
+                matches!(columns, serde::Value::Str(_)),
+                "epochs are one string"
+            );
 
             let (decoded, reused) = decode_entry(framed.as_bytes(), key_for(1)).expect("verifies");
-            assert_eq!(decoded, oracle.summary, "same summary as the derived parse");
+            assert_eq!(decoded, summary, "the codec hands back the summary");
             assert_eq!(
                 reused, encoded,
                 "the verified bytes are the stored encoding"
@@ -645,7 +683,7 @@ mod tests {
             assert_eq!(
                 Encoded::of(&decoded).expect("re-encode"),
                 encoded,
-                "re-encoding the parsed summary reproduces the exact bytes"
+                "re-encoding the decoded summary reproduces the exact bytes"
             );
         }
     }
@@ -689,7 +727,8 @@ mod tests {
                 serde_json::from_str::<CacheEnvelope>(&text)
                     .expect("oracle accepts")
                     .summary,
-                summary
+                oracle.summary,
+                "{name}: same values"
             );
             let dir =
                 std::env::temp_dir().join(format!("depburst-cache-{name}-{}", std::process::id()));

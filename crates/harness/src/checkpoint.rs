@@ -1,16 +1,17 @@
 //! Append-only checkpoint journal for interruptible sweeps.
 //!
-//! Every completed simulation point is appended as one JSON line —
-//! `{schema, key, checksum, summary}` — to
+//! Every completed simulation point is appended as one line —
+//! `{schema, key, checksum, summary}`, the v4 envelope of
+//! [`crate::cache::envelope`] — to
 //! `results/checkpoints/<run-id>.jsonl` (the `depburst` binary's
 //! `DEPBURST_CHECKPOINT_DIR` setting moves the directory; see
 //! [`crate::cli`]), fsynced in batches of [`FLUSH_BATCH`]. A
 //! SIGINT'd or crashed sweep restarted with `--resume <run-id>` replays
 //! the journaled points instead of re-simulating them, and — because
-//! summaries roundtrip JSON with exact f64 bit patterns (asserted by the
-//! golden suite) and results assemble in plan order — the resumed run's
-//! output is byte-identical to an uninterrupted one (asserted by
-//! `tests/determinism.rs` and the CI interrupt-resume step).
+//! summaries round-trip the envelope codec with exact f64 bit patterns
+//! (asserted by its oracle proptest) and results assemble in plan order —
+//! the resumed run's output is byte-identical to an uninterrupted one
+//! (asserted by `tests/determinism.rs` and the CI interrupt-resume step).
 //!
 //! Torn writes: a run killed mid-append can leave a truncated final line.
 //! Replay tolerates it — the fragment is skipped with a warning, the file
@@ -50,14 +51,15 @@ pub const FLUSH_BATCH: usize = 4;
 /// [`envelope::open`], kept as the test oracle it is compared against.
 /// Journal lines share [`SCHEMA_VERSION`] and the framing with the disk
 /// cache: both persist the same `RunSummary` payload, so they go stale
-/// together.
+/// together. The summary stays untyped: its epochs are a columnar string
+/// only [`envelope`] decodes.
 #[cfg(test)]
 #[derive(Debug, Serialize, serde::Deserialize)]
 struct JournalRecord {
     schema: u32,
     key: String,
     checksum: String,
-    summary: RunSummary,
+    summary: serde::Value,
 }
 
 #[derive(Debug)]
@@ -215,12 +217,12 @@ impl Journal {
                     i + 1,
                     framed.schema
                 ),
-                Ok(framed) => match serde_json::from_str::<RunSummary>(framed.summary_json) {
+                Ok(framed) => match framed.summary() {
                     Ok(summary) => {
                         seen.insert(framed.key.0, Arc::new(summary));
                         continue;
                     }
-                    Err(parse_err) => format!("skipping unparsable line {}: {parse_err}", i + 1),
+                    Err(why) => format!("skipping undecodable line {}: {why}", i + 1),
                 },
                 Err(Reject::Checksum { .. }) => format!(
                     "line {} fails its checksum (payload corrupted since the write); \
@@ -447,11 +449,12 @@ mod tests {
         assert_eq!(oracle.schema, SCHEMA_VERSION);
         assert_eq!(oracle.key, SimKey(5).hex());
         assert_eq!(serde_json::to_string(&oracle).expect("re-serialize"), line);
-        let resumed = Journal::resume_at(&fresh).expect("resume");
         assert_eq!(
-            *resumed.lookup(SimKey(5)).expect("replayed"),
-            oracle.summary
+            serde_json::to_string(&oracle.summary).expect("re-serialize"),
+            Encoded::of(&summary(5)).expect("encode").json
         );
+        let resumed = Journal::resume_at(&fresh).expect("resume");
+        assert_eq!(resumed.lookup(SimKey(5)).expect("replayed"), summary(5));
         drop(resumed);
         let _ = std::fs::remove_file(&fresh);
         let _ = std::fs::remove_file(&reused);
@@ -514,6 +517,33 @@ mod tests {
         let resumed = Journal::resume_at(&path).expect("resume");
         assert_eq!(resumed.loaded(), 0, "stale schema must not replay");
         assert_eq!(resumed.stats().corrupt_lines, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_v3_journal_resumed_at_v4_is_skipped_and_counted_never_served() {
+        // A v3 line: the summary as plain JSON, epochs as an array, under
+        // a valid checksum. It frames and verifies, but its schema is old.
+        let path = tmp("v3");
+        let json = serde_json::to_string(&*summary(4)).expect("v3 summary");
+        let line = format!(
+            "{{\"schema\":3,\"key\":\"{}\",\"checksum\":\"{:016x}\",\"summary\":{json}}}\n",
+            SimKey(4).hex(),
+            crate::vfs::fnv1a64(json.as_bytes())
+        );
+        let framed = envelope::open(line.trim_end().as_bytes()).expect("a verified v3 line");
+        assert_eq!(framed.schema, 3);
+        std::fs::write(&path, &line).expect("plant");
+        let resumed = Journal::resume_at(&path).expect("resume");
+        assert_eq!(resumed.loaded(), 0, "a v3 record is never replayed");
+        assert_eq!(resumed.stats().corrupt_lines, 1, "and it is counted");
+        assert!(resumed.lookup(SimKey(4)).is_none());
+        // The point re-simulates and is journaled at v4 beside the old line.
+        resumed.record(SimKey(4), &summary(4), None);
+        drop(resumed);
+        let again = Journal::resume_at(&path).expect("resume again");
+        assert_eq!((again.loaded(), again.stats().corrupt_lines), (1, 1));
+        assert_eq!(again.lookup(SimKey(4)).expect("v4 record"), summary(4));
         let _ = std::fs::remove_file(&path);
     }
 

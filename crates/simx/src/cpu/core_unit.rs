@@ -324,12 +324,16 @@ mod tests {
     #[test]
     fn slice_accumulator_round_trips_through_reserve() {
         let mut bank = CoreBank::new(2);
-        let mut base = DvfsCounters::default();
-        base.instructions = 1000;
+        let base = DvfsCounters {
+            instructions: 1000,
+            ..DvfsCounters::default()
+        };
         bank.reserve(0, ThreadId(3), Time::ZERO, base);
         assert_eq!(bank.occupant(0), Some(ThreadId(3)));
-        let mut delta = DvfsCounters::default();
-        delta.instructions = 234;
+        let delta = DvfsCounters {
+            instructions: 234,
+            ..DvfsCounters::default()
+        };
         bank.add_slice_counters(0, delta);
         assert_eq!(bank.slice_total(0).instructions, 1234);
         // A later reserve for another thread replaces, not extends.

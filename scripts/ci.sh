@@ -29,7 +29,7 @@ step "test" cargo test -q --workspace
 
 step "golden suite" cargo test -q -p harness --test golden
 
-step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
+step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
 # Smoke-run the experiment subcommands at tiny scale: the point is driving
 # the CLI + pool + cache plumbing end to end, not the numbers. Stdout is
